@@ -523,6 +523,7 @@ ThreadPoolBackend::parallelFor(size_t count,
         }
         return;
     }
+    std::lock_guard<std::mutex> dispatch(dispatch_mtx_);
     {
         std::lock_guard<std::mutex> lock(mtx_);
         fn_ = &fn;

@@ -89,6 +89,10 @@ class ThreadPoolBackend final : public PolyBackend
 
     std::vector<std::thread> workers_;
 
+    /** The pool runs one batch at a time: a second outside caller
+     *  (e.g. another serving worker) dispatching while one runs would
+     *  clobber the batch state below under the first one's workers. */
+    std::mutex dispatch_mtx_;
     std::mutex mtx_;
     std::condition_variable wake_;
     std::condition_variable done_;

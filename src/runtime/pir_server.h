@@ -3,45 +3,35 @@
  * Multi-tenant PIR serving front end.
  *
  * Clients submit() encrypted queries and receive a
- * std::future<pir::PirResponse>; a worker thread drains the request
- * queue in windows under the same batch-size/deadline policy as
- * PbsServer (ServerOptions is shared), groups each window by tenant,
- * acquires the tenant's resident database from the PirDbStore (the
- * returned shared_ptr pins it for the group's lifetime, so a
- * concurrent eviction can never pull the serving form out from under
- * an in-flight fold), and answers each query through the PirEngine
- * pipeline. Per-tenant query keys come from a caller-supplied
+ * std::future<pir::PirResponse>. The serving loop (batching_server.h:
+ * windows, admission, deadline shedding, per-tenant grouping, the
+ * pir_server.* metrics) hands each tenant group to this server's
+ * executor, which acquires the tenant's resident database from the
+ * PirDbStore (the returned shared_ptr pins it for the group's
+ * lifetime, so a concurrent eviction can never pull the serving form
+ * out from under an in-flight fold) and answers each query through the
+ * PirEngine pipeline. Per-tenant query keys come from a caller-supplied
  * provider — the server never sees a secret key.
  *
- * Policy knobs are the TRINITY_RUNTIME_* family (see pbs_server.h);
- * metrics land under the options' label ("pir_server" by default):
- * queue_depth, batch_size, queue_wait_ns, request_latency_ns,
- * requests, batches, rejected, shed. Rejected/shed requests resolve
- * their future with AdmissionRejected/DeadlineExceeded — the client
- * always gets an answer, never a hang.
+ * submit() refuses a query whose GLWE shape does not fit params() with
+ * InvalidRequest.
  */
 
 #ifndef TRINITY_RUNTIME_PIR_SERVER_H
 #define TRINITY_RUNTIME_PIR_SERVER_H
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
 
 #include "pir/pir.h"
-#include "runtime/pbs_server.h"
+#include "runtime/batching_server.h"
 
 namespace trinity {
 namespace runtime {
 
 /**
- * The PIR serving runtime: a request queue plus one worker thread
- * that executes tenant-grouped windows of queries. Thread-safe for
- * any number of concurrent submitters; the destructor completes every
- * queued request before joining.
+ * The PIR serving runtime. Thread-safe for any number of concurrent
+ * submitters; the destructor completes every queued request before
+ * returning.
  */
 class PirServer
 {
@@ -62,8 +52,6 @@ class PirServer
               KeysProvider keys,
               ServerOptions opts = defaultOptions());
 
-    ~PirServer();
-
     PirServer(const PirServer &) = delete;
     PirServer &operator=(const PirServer &) = delete;
 
@@ -71,45 +59,21 @@ class PirServer
     std::future<pir::PirResponse> submit(pir::PirTenantId t,
                                          pir::PirQuery query);
 
-    ServerStats stats() const;
-    const ServerOptions &options() const { return opts_; }
-    size_t maxBatch() const { return max_batch_; }
+    ServerStats stats() const { return core_.stats(); }
+    const ServerOptions &options() const { return core_.options(); }
+    size_t maxBatch() const { return core_.maxBatch(); }
     const pir::PirParams &params() const { return engine_.params(); }
-    pir::PirDbStore &dbStore() const { return store_; }
 
   private:
-    struct Pending
-    {
-        pir::PirTenantId tenant = 0;
-        pir::PirQuery query;
-        std::promise<pir::PirResponse> result;
-        /** Submission timestamp (obs::detail::nowNs) feeding the
-         *  queue-wait/latency histograms and the deadline policy. */
-        u64 enqueuedNs = 0;
-    };
-
-    void workerLoop();
-    /** Execute one same-tenant group of @p work; resolves every
-     *  future. */
-    void executeGroup(std::vector<Pending> &work, size_t begin,
-                      size_t end);
+    std::vector<pir::PirResponse>
+    execute(pir::PirTenantId t,
+            const std::vector<const pir::PirQuery *> &group) const;
 
     pir::PirDbStore &store_;
-    KeysProvider keys_;
-    pir::PirEngine engine_;
-    ServerOptions opts_;
-    size_t max_batch_;
-
-    mutable std::mutex mtx_;
-    std::condition_variable arrived_;
-    std::deque<Pending> queue_;
-    bool stop_ = false;
-    ServerStats stats_;
-
-    struct Metrics;
-    Metrics &metrics_;
-
-    std::thread worker_;
+    const KeysProvider keys_;
+    const pir::PirEngine engine_;
+    /** Last: its worker runs execute(), which uses the members above. */
+    BatchingServer<pir::PirQuery, pir::PirResponse> core_;
 };
 
 } // namespace runtime

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
+#include <thread>
 
 #include "backend/registry.h"
 #include "backend/serial_backend.h"
@@ -255,6 +257,31 @@ TEST(ThreadPool, NestedRunDoesNotDeadlock)
     });
     EXPECT_EQ(total.load(), 32);
     BackendRegistry::instance().select("serial");
+}
+
+TEST(ThreadPool, ConcurrentOutsideCallersEachGetTheirBatch)
+{
+    // Two outside threads dispatching at once, as two serving workers
+    // do: every batch must run each of its indices exactly once and
+    // return.
+    ThreadPoolBackend pool(4);
+    const u64 kRounds = 200;
+    const size_t kCount = 64;
+    std::array<std::atomic<u64>, 2> sums{};
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < sums.size(); ++c) {
+        callers.emplace_back([&, c] {
+            for (u64 r = 0; r < kRounds; ++r) {
+                pool.run(kCount, [&](size_t i) { sums[c] += i + 1; });
+            }
+        });
+    }
+    for (std::thread &t : callers) {
+        t.join();
+    }
+    for (const std::atomic<u64> &sum : sums) {
+        EXPECT_EQ(sum.load(), kRounds * kCount * (kCount + 1) / 2);
+    }
 }
 
 } // namespace

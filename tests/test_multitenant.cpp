@@ -5,8 +5,8 @@
  * admission (maxQueue -> AdmissionRejected) and deadline
  * (deadlineUs -> DeadlineExceeded) policies with deterministic
  * counts, consistent key-affine shard routing, materialization
- * landing only on a tenant's home shard, and destructor drain of the
- * sharded fleet.
+ * landing only on a tenant's home shard, destructor drain of the
+ * sharded fleet, and malformed requests refused at submit.
  */
 
 #include <atomic>
@@ -23,6 +23,7 @@ namespace {
 
 using runtime::AdmissionRejected;
 using runtime::DeadlineExceeded;
+using runtime::InvalidRequest;
 using runtime::KeyStore;
 using runtime::PbsServer;
 using runtime::ResidentKeys;
@@ -229,6 +230,63 @@ TEST_F(MultiTenantFixture, DeadlineShedsStaleRequests)
         EXPECT_EQ(server.stats().shed, 3u);
     }
     EXPECT_EQ(shed, 3u);
+}
+
+TEST_F(MultiTenantFixture, MalformedRequestFailsAloneWithInvalidRequest)
+{
+    KeyStore store(*ctx, provider(), 0, "keystore.test.invalid");
+    ServerOptions opts;
+    opts.maxBatch = 16;
+    opts.maxWaitUs = 20000; // one window sees the whole burst
+    opts.label = "pbs_server.test.invalid";
+    PbsServer server(ctx, store, opts);
+    const TfheParams &p = ctx->params();
+
+    // Tenant 1's malformed requests, each interleaved with healthy
+    // ones of tenants 0 and 2. Unchecked, the first would reach the
+    // lockstep batch's dimension assert and abort the process.
+    LweCiphertext shortCt = encryptBit(1, true);
+    shortCt.a.pop_back();
+    LweCiphertext unreducedMask = encryptBit(1, true);
+    unreducedMask.a[3] = p.q;
+    LweCiphertext unreducedBody = encryptBit(1, false);
+    unreducedBody.b = p.q + 5;
+    Poly shortLut(p.bigN / 2, p.q);
+    Poly evalLut = tenants[1].signTv;
+    evalLut.setDomain(Domain::Eval);
+    std::vector<TenantId> healthyTenants = {0, 2, 0, 2, 0};
+    std::vector<LweCiphertext> healthy;
+    for (size_t i = 0; i < healthyTenants.size(); ++i) {
+        healthy.push_back(encryptBit(healthyTenants[i], i % 2 == 0));
+    }
+
+    std::vector<std::future<LweCiphertext>> good;
+    std::vector<std::future<LweCiphertext>> bad;
+    good.push_back(server.submit(healthyTenants[0], healthy[0]));
+    bad.push_back(server.submit(1, shortCt));
+    good.push_back(server.submit(healthyTenants[1], healthy[1]));
+    bad.push_back(server.submit(1, unreducedMask));
+    good.push_back(server.submit(healthyTenants[2], healthy[2]));
+    bad.push_back(server.submit(1, unreducedBody));
+    good.push_back(server.submit(healthyTenants[3], healthy[3]));
+    bad.push_back(server.submit(1, encryptBit(1, true), shortLut));
+    good.push_back(server.submit(healthyTenants[4], healthy[4]));
+    bad.push_back(server.submit(1, encryptBit(1, true), evalLut));
+
+    for (auto &f : bad) {
+        EXPECT_THROW(f.get(), InvalidRequest);
+    }
+    for (size_t i = 0; i < good.size(); ++i) {
+        TenantId t = healthyTenants[i];
+        ResidentKeys ref = materializeDirect(t);
+        LweCiphertext out = good[i].get();
+        LweCiphertext expect =
+            boot->pbs(healthy[i], ref.signTv, ref.bsk, ref.ksk);
+        EXPECT_EQ(out.b, expect.b) << "request " << i;
+        EXPECT_EQ(out.a, expect.a) << "request " << i;
+    }
+    EXPECT_EQ(server.stats().requests, good.size());
+    EXPECT_FALSE(store.resident(1)); // refused before any key fault
 }
 
 TEST_F(MultiTenantFixture, MaterializationLandsOnHomeShardOnly)

@@ -5,7 +5,8 @@
  * spans from the pipelined executor and virtual-time spans from the
  * sim schedule), histogram percentiles against a sorted-vector
  * reference, the metrics kill switch, PbsServer latency accounting,
- * and the ScratchArena stats passthrough.
+ * server trace tracks that outlive their server, and the ScratchArena
+ * stats passthrough.
  */
 
 #include <algorithm>
@@ -411,6 +412,44 @@ TEST(ObsTrace, DisableDropsBufferedEvents)
     obs::disableTrace();
     std::string text = readFile(path);
     EXPECT_EQ(text.find("marker"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(ObsTrace, ServerTrackOutlivesItsServer)
+{
+    // Long enough to live on the heap, so the server's copy is freed
+    // with the server; the trace is written after that.
+    const std::string label = "pbs_server.test.trace_track_outlives_server";
+    std::string path = tempTracePath("server_track");
+    obs::enableTrace(path);
+    {
+        TfheGateBootstrapper gb(TfheParams::testTiny(), 20241);
+        runtime::ServerOptions opts;
+        opts.maxWaitUs = 100;
+        opts.label = label;
+        runtime::PbsServer server(gb, opts);
+        server.submit(gb.encryptBit(true)).get();
+    }
+    std::vector<std::string> churn(4096, std::string(label.size(), 'A'));
+    ASSERT_TRUE(obs::writeTrace());
+    obs::disableTrace();
+    churn.clear();
+
+    Json root;
+    ASSERT_TRUE(JsonParser(readFile(path)).parse(root));
+    const Json *events = root.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    size_t named = 0;
+    for (const Json &ev : events->arr) {
+        const Json *name = ev.find("name");
+        const Json *args = ev.find("args");
+        if (name != nullptr && name->str == "process_name" &&
+            args != nullptr && args->find("name") != nullptr &&
+            args->find("name")->str == label) {
+            ++named;
+        }
+    }
+    EXPECT_EQ(named, 1u) << "no process_name track for " << label;
     std::remove(path.c_str());
 }
 

@@ -364,6 +364,41 @@ TEST(PirServerTest, ConcurrentQueriesDecodeCorrectly)
     EXPECT_GE(st.batches, 1u);
 }
 
+TEST(PirServerTest, MalformedQueryIsRejectedAtSubmit)
+{
+    SerialGuard guard;
+    PirParams pp = PirParams::testTiny();
+    PirClient client(pp, 81);
+    PirQueryKeys keys = client.makeQueryKeys();
+    PirDatabase db = PirDatabase::random(pp, 82);
+    PirDbStore store(
+        client.ctx(),
+        [&](PirTenantId) -> const PirDatabase & { return db; }, 0,
+        "pir_server_invalid_store");
+    runtime::ServerOptions opts;
+    opts.label = "pir_server_invalid";
+    opts.maxWaitUs = 100;
+    runtime::PirServer server(
+        client.sharedCtx(), pp, store,
+        [&](PirTenantId) -> const PirQueryKeys & { return keys; },
+        opts);
+
+    std::vector<PirQuery> bad(4, client.makeQuery(0));
+    bad[0].ct.a.clear();                               // no mask poly
+    bad[1].ct.b = Poly(pp.tfhe.bigN / 2, pp.tfhe.q);   // short body
+    bad[2].ct.a[0][5] = pp.tfhe.q;                     // unreduced
+    bad[3].ct.b.setDomain(Domain::Eval);               // wrong domain
+    for (size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(server.submit(0, bad[i]).get(),
+                     runtime::InvalidRequest)
+            << "query " << i;
+    }
+    size_t index = 5;
+    EXPECT_EQ(client.decode(server.submit(0, client.makeQuery(index)).get()),
+              db.record(index));
+    EXPECT_EQ(server.stats().requests, 1u);
+}
+
 } // namespace
 } // namespace pir
 } // namespace trinity

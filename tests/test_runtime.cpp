@@ -4,22 +4,27 @@
  * against sequential bootstrapping (on whatever engine TRINITY_BACKEND
  * selects — CI sweeps serial/threads/simd/sim), mixed test vectors in
  * one batch, queue aggregation under concurrent submitters, the
- * batch-size/deadline policy, and the backend batch-sizing hints.
+ * batch-size/deadline policy, the serving core's per-group failure
+ * isolation, and the backend batch-sizing hints.
  */
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "backend/registry.h"
 #include "runtime/batched_pbs.h"
+#include "runtime/batching_server.h"
 #include "runtime/pbs_server.h"
 
 namespace trinity {
 namespace {
 
 using runtime::BatchedBootstrapper;
+using runtime::BatchingServer;
+using runtime::InvalidRequest;
 using runtime::PbsBatch;
 using runtime::PbsServer;
 using runtime::ServerOptions;
@@ -237,6 +242,61 @@ TEST_F(RuntimeFixture, DestructorDrainsQueuedRequests)
     }
     EXPECT_TRUE(gb->decryptBit(futures[0].get()));
     EXPECT_FALSE(gb->decryptBit(futures[1].get()));
+}
+
+TEST_F(RuntimeFixture, SingleTenantServerServesTenantZeroOnly)
+{
+    ServerOptions opts;
+    opts.maxWaitUs = 100;
+    PbsServer server(*gb, opts);
+    LweCiphertext ct = gb->encryptBit(true);
+    EXPECT_THROW(server.submit(3, ct).get(), InvalidRequest);
+    EXPECT_TRUE(gb->decryptBit(server.submit(0, ct).get()));
+    LweCiphertext wide = ct;
+    wide.a.push_back(0);
+    EXPECT_THROW(server.submit(wide).get(), InvalidRequest);
+    EXPECT_TRUE(gb->decryptBit(server.submit(ct).get()));
+}
+
+TEST(ServingCore, ExecutorExceptionFailsOnlyItsGroup)
+{
+    ServerOptions opts;
+    opts.maxBatch = 8;
+    opts.maxWaitUs = 200000; // one window holds the whole burst
+    opts.label = "batching_server.test.throw";
+    std::atomic<size_t> calls{0};
+    // Tenant 0 sorts first, so its failing group runs before tenant
+    // 1's healthy one in the same window.
+    BatchingServer<int, int> server(
+        opts, "testBatch",
+        [&](u64 tenant, const std::vector<const int *> &group) {
+            calls.fetch_add(1);
+            if (tenant == 0) {
+                throw std::runtime_error("tenant 0 executor failed");
+            }
+            std::vector<int> out;
+            for (const int *x : group) {
+                out.push_back(*x * 10);
+            }
+            return out;
+        });
+    std::vector<std::future<int>> futures;
+    for (int i = 0; i < 6; ++i) {
+        futures.push_back(server.submit(static_cast<u64>(i % 2), i));
+    }
+    for (int i = 0; i < 6; ++i) {
+        if (i % 2 == 0) {
+            EXPECT_THROW(futures[i].get(), std::runtime_error) << i;
+        } else {
+            EXPECT_EQ(futures[i].get(), i * 10);
+        }
+    }
+    // The worker survived the exception and keeps serving.
+    EXPECT_EQ(server.submit(1, 7).get(), 70);
+    EXPECT_THROW(server.submit(0, 8).get(), std::runtime_error);
+    ServerStats stats = server.stats();
+    EXPECT_EQ(stats.requests, 4u); // only executed groups count
+    EXPECT_GE(calls.load(), 4u);
 }
 
 TEST(RuntimeOptions, EnginesReportPositiveBatchHints)
