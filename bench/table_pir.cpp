@@ -18,8 +18,7 @@
  * preprocessed-database blow-up.
  *
  * Positional args: none. --smoke runs the tiny parameter set only.
- * TRINITY_PIR_FOLD_CHUNK tunes fold chunking; TRINITY_BACKEND is
- * ignored (the bench drives its own engine sweep).
+ * TRINITY_BACKEND is ignored (the bench drives its own engine sweep).
  */
 
 #include <cstdio>

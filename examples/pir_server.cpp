@@ -10,10 +10,9 @@
  * only the uploaded query/key ciphertexts.
  *
  * Knobs: TRINITY_BACKEND (engine), TRINITY_PIR_DB_BYTES (residency
- * budget), TRINITY_PIR_FOLD_CHUNK (fold chunking),
- * TRINITY_RUNTIME_* (queue policy). Set TRINITY_TRACE=<path> for a
- * Chrome trace; the run ends with an obs::MetricsRegistry dump of the
- * serving histograms and kernel counters.
+ * budget), TRINITY_RUNTIME_* (queue policy). Set TRINITY_TRACE=<path>
+ * for a Chrome trace; the run ends with an obs::MetricsRegistry dump
+ * of the serving histograms and kernel counters.
  */
 
 #include <cstdio>

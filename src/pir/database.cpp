@@ -95,7 +95,7 @@ materializePirDb(const TfheContext &ctx, const PirDatabase &db)
         const u64 *base = out.polys[rec * lb].coeffs().data();
         for (u32 l = 1; l < lb; ++l) {
             scale.push_back({out.polys[rec * lb + l].coeffs().data(),
-                             base, ctx.gadget(l), &mod, n});
+                             base, ctx.gadget().element(l), &mod, n});
         }
     }
     activeBackend().scalarMulBatch(scale.data(), scale.size());
@@ -103,7 +103,7 @@ materializePirDb(const TfheContext &ctx, const PirDatabase &db)
     scale0.reserve(records);
     for (size_t rec = 0; rec < records; ++rec) {
         u64 *base = out.polys[rec * lb].coeffs().data();
-        scale0.push_back({base, base, ctx.gadget(0), &mod, n});
+        scale0.push_back({base, base, ctx.gadget().element(0), &mod, n});
     }
     activeBackend().scalarMulBatch(scale0.data(), scale0.size());
     for (auto &poly : out.polys) {

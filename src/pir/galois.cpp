@@ -7,41 +7,23 @@
 namespace trinity {
 namespace pir {
 
-namespace {
-
-Poly &
-glweComp(GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-const Poly &
-glweComp(const GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-} // namespace
-
 GaloisKey
 makeGaloisKey(TfheContext &ctx, const GlweSecretKey &sk, u64 g)
 {
     const TfheParams &p = ctx.params();
     trinity_assert(g % 2 == 1 && g < 2 * p.bigN,
                    "automorphism element must be odd and < 2N");
+    const Gadget &gadget = ctx.ksGadget();
     GaloisKey key;
     key.g = g;
-    key.logB = p.logBks;
-    key.levels = p.lk;
-    Gadget gadget(p.q, p.logBks, p.lk);
-    key.rows.reserve(p.k * p.lk);
+    key.rows.reserve(p.k * gadget.levels());
     for (size_t j = 0; j < p.k; ++j) {
         Poly sj(p.bigN, p.q);
         for (size_t i = 0; i < p.bigN; ++i) {
             sj[i] = toResidue(sk.s[j][i], p.q);
         }
         Poly sigma_sj = sj.automorphism(g);
-        for (u32 l = 0; l < p.lk; ++l) {
+        for (u32 l = 0; l < gadget.levels(); ++l) {
             Poly msg = sigma_sj;
             msg.scalarMulInPlace(gadget.element(l));
             key.rows.push_back(ctx.glweEncrypt(msg, sk));
@@ -74,13 +56,14 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     size_t n = p.bigN;
     size_t k = p.k;
     size_t comps = k + 1;
-    u32 levels = key.levels;
+    const Gadget &gadget = ctx.ksGadget();
+    u32 levels = gadget.levels();
     size_t rows = k * levels;
-    trinity_assert(rows <= 16 && p.q < (1ULL << 61),
+    // Bounds the fixed-size pointer arrays of the MAC below.
+    trinity_assert(rows <= kGadgetMacMaxRows,
                    "applyGaloisBatch: unsupported keyswitch shape");
     trinity_assert(key.rows.size() == rows, "GaloisKey shape mismatch");
     PolyBackend &backend = activeBackend();
-    Gadget gadget(p.q, key.logB, levels);
 
     // (1) sigma_g of every component of every ciphertext, one batch.
     std::vector<GlweCiphertext> sigma(count);
@@ -108,15 +91,8 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     backend.run(count * k, [&](size_t idx) {
         size_t c = idx / k;
         size_t j = idx % k;
-        const Poly &src = sigma[c].a[j];
-        i64 digits[16]; // levels <= rows <= 16, asserted above
-        for (size_t i = 0; i < n; ++i) {
-            gadget.decompose(src[i], digits);
-            for (u32 l = 0; l < levels; ++l) {
-                dig[c * rows + j * levels + l][i] =
-                    toResidue(digits[l], p.q);
-            }
-        }
+        gadget.decomposePoly(sigma[c].a[j].coeffs().data(), n,
+                             &dig[c * rows + j * levels]);
     });
 
     // (3) Forward NTT of every digit limb, one batch.
@@ -128,9 +104,9 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     }
     backend.nttForwardBatch(fwd.data(), fwd.size());
 
-    // (4) Keyswitch MACs with lazy u128 accumulation (rows <= 16 and
-    // q < 2^61, so the unreduced sum cannot overflow): T_c = sum_{j,l}
-    // dec_{j,l} (*) ksk_{j,l}.comp_c, written into out's components.
+    // (4) Keyswitch MACs through gadgetMac (one reduction per
+    // coefficient): T_c = sum_{j,l} dec_{j,l} (*) ksk_{j,l}.comp_c,
+    // written into out's components.
     for (size_t c = 0; c < count; ++c) {
         out[c] = ctx.glweTrivial(Poly(n, p.q));
         for (size_t j = 0; j < comps; ++j) {
@@ -141,20 +117,14 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     backend.run(count * comps, [&](size_t idx) {
         size_t c = idx / comps;
         size_t j = idx % comps;
-        const u64 *dec_ptr[16];
-        const u64 *key_ptr[16];
+        const u64 *dec_ptr[kGadgetMacMaxRows] = {};
+        const u64 *key_ptr[kGadgetMacMaxRows] = {};
         for (size_t r = 0; r < rows; ++r) {
             dec_ptr[r] = dig[c * rows + r].coeffs().data();
             key_ptr[r] = glweComp(key.rows[r], j).coeffs().data();
         }
-        u64 *dst = glweComp(out[c], j).coeffs().data();
-        for (size_t i = 0; i < n; ++i) {
-            u128 acc = 0;
-            for (size_t r = 0; r < rows; ++r) {
-                acc += static_cast<u128>(dec_ptr[r][i]) * key_ptr[r][i];
-            }
-            dst[i] = mod.reduce128(acc);
-        }
+        gadgetMac(glweComp(out[c], j).coeffs().data(), dec_ptr, key_ptr,
+                  rows, n, mod, false);
     });
 
     // (5) Inverse NTT of the accumulated T components, one batch.

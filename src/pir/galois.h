@@ -10,10 +10,10 @@
  *   out.b   = sigma(b) - sum_{j,l} dec_l(sigma(a_j)) (*) ksk_{j,l}.b
  *
  * so phase(out) = sigma_g(phase(in)) up to keyswitch noise. The
- * decomposition uses the fine expansion gadget (params.lk/logBks),
- * not the external-product gadget — the oblivious expansion applies
- * ~2^m of these in a doubling walk, so its per-step noise has to be
- * much smaller than a CMux level's.
+ * decomposition uses the context's fine keyswitch gadget
+ * (ksGadget(): lk/logBks), not the external-product gadget — the
+ * oblivious expansion applies ~2^m of these in a doubling walk, so
+ * its per-step noise has to be much smaller than a CMux level's.
  *
  * applyGaloisBatch() runs many independent ciphertexts through one
  * automorphism as wide backend batches (one AutoJob batch, one
@@ -25,7 +25,6 @@
 #ifndef TRINITY_PIR_GALOIS_H
 #define TRINITY_PIR_GALOIS_H
 
-#include "pir/gadget.h"
 #include "tfhe/core.h"
 
 namespace trinity {
@@ -35,15 +34,13 @@ namespace pir {
 struct GaloisKey
 {
     u64 g = 0;
-    u32 logB = 0;
-    u32 levels = 0;
-    /** rows[j*levels + l]: GLWE encryption of g_l * sigma_g(s_j),
-     *  NTT domain. */
+    /** rows[j*lk + l]: GLWE encryption of g_l * sigma_g(s_j), g_l
+     *  from the context's ksGadget(); NTT domain. */
     std::vector<GlweCiphertext> rows;
 };
 
 /** Generate the keyswitch key for X -> X^g under @p sk, using the
- *  expansion gadget (ctx.params().lk / logBks). Client-side. */
+ *  context's keyswitch gadget (ctx.ksGadget()). Client-side. */
 GaloisKey makeGaloisKey(TfheContext &ctx, const GlweSecretKey &sk,
                         u64 g);
 

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/primes.h"
+#include "tfhe/gadget.h"
 
 namespace trinity {
 namespace pir {
@@ -111,8 +112,9 @@ PirParams::validate() const
                    "query does not fit one ring element: dim1 + "
                    "gswDims*lb = %zu needs 2^m > N = %zu",
                    queryCoeffs(), tfhe.bigN);
-    trinity_assert(tfhe.extRows() <= 16,
-                   "fold/CMux lazy accumulation assumes <= 16 rows");
+    trinity_assert(tfhe.extRows() <= kGadgetMacMaxRows,
+                   "fold/CMux gadgetMac sums at most %zu rows",
+                   kGadgetMacMaxRows);
 }
 
 } // namespace pir

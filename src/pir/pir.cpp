@@ -1,7 +1,6 @@
 #include "pir/pir.h"
 
 #include "backend/registry.h"
-#include "common/env.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -10,31 +9,8 @@ namespace pir {
 
 namespace {
 
-Poly &
-glweComp(GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-const Poly &
-glweComp(const GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-size_t
-foldChunkFromEnv()
-{
-    u64 v = 0;
-    if (envU64("TRINITY_PIR_FOLD_CHUNK", v)) {
-        if (v == 0) {
-            trinity_fatal("invalid TRINITY_PIR_FOLD_CHUNK value '0': "
-                          "chunks need at least one row");
-        }
-        return static_cast<size_t>(v);
-    }
-    return 16;
-}
+/** First-dimension rows per partial accumulator in the fold DAG. */
+constexpr size_t kFoldChunk = 16;
 
 } // namespace
 
@@ -95,7 +71,7 @@ PirClient::makeQuery(size_t index)
         }
         for (u32 l = 0; l < params_.tfhe.lb; ++l) {
             f[params_.dim1 + t * params_.tfhe.lb + l] =
-                mod.mul(inv2m, ctx_->gadget(l));
+                mod.mul(inv2m, ctx_->gadget().element(l));
         }
     }
     PirQuery q;
@@ -148,14 +124,16 @@ PirClient::decode(const PirResponse &resp) const
 
 PirEngine::PirEngine(std::shared_ptr<TfheContext> ctx,
                      const PirParams &params)
-    : ctx_(std::move(ctx)), params_(params),
-      foldChunk_(foldChunkFromEnv())
+    : ctx_(std::move(ctx)), params_(params)
 {
     params_.validate();
-    trinity_assert(ctx_->params().q == params_.tfhe.q &&
-                       ctx_->params().bigN == params_.tfhe.bigN &&
-                       ctx_->params().lb == params_.tfhe.lb &&
-                       ctx_->params().lk == params_.tfhe.lk,
+    // The context supplies both gadgets (fold/CMux and Galois
+    // keyswitch), so its whole gadget shape must match the params.
+    const TfheParams &c = ctx_->params();
+    const TfheParams &p = params_.tfhe;
+    trinity_assert(c.q == p.q && c.bigN == p.bigN && c.k == p.k &&
+                       c.lb == p.lb && c.logBg == p.logBg &&
+                       c.lk == p.lk && c.logBks == p.logBks,
                    "engine context/parameter mismatch");
 }
 
@@ -210,7 +188,7 @@ PirEngine::fold(const ResidentPirDb &db,
     trinity_assert(expanded.size() >= dim1,
                    "fold needs %zu selection entries, got %zu", dim1,
                    expanded.size());
-    size_t chunk = foldChunk_ < dim1 ? foldChunk_ : dim1;
+    size_t chunk = kFoldChunk < dim1 ? kFoldChunk : dim1;
     size_t num_chunks = (dim1 + chunk - 1) / chunk;
     obs::TraceSpan span("pirFold", "pir", "fold", "rows", dim1);
 
@@ -251,14 +229,8 @@ PirEngine::fold(const ResidentPirDb &db,
                 trinity_assert(src.domain() == Domain::Coeff,
                                "fold input must be in coefficient "
                                "domain");
-                i64 digits[16]; // lb <= 16 via extRows() <= 16
-                for (size_t i = 0; i < n; ++i) {
-                    ctx_->decomposeScalar(src[i], digits);
-                    for (u32 l = 0; l < lb; ++l) {
-                        dig[r * rows + c * lb + l][i] =
-                            toResidue(digits[l], ctx_->q());
-                    }
-                }
+                ctx_->gadget().decomposePoly(src.coeffs().data(), n,
+                                             &dig[r * rows + c * lb]);
             },
             {},
             {{sim::KernelType::Decomp, comps * n, n,
@@ -274,11 +246,11 @@ PirEngine::fold(const ResidentPirDb &db,
     }
 
     // (2) Per chunk of first-dimension rows: one MAC command covering
-    // every (column, component) output, accumulating digit limbs
-    // against the gadget-scaled database rows with lazy u128
-    // reduction (chunk * lb terms of < 2^64 each — far below the 128-
-    // bit capacity). Writes per-chunk partials when there are several
-    // chunks, the accumulators directly when there is one.
+    // every (column, component) output. Each selection row's lb digit
+    // limbs meet its gadget-scaled database rows in one gadgetMac
+    // call, so the sum is reduced once per row and coefficient.
+    // Writes per-chunk partials when there are several chunks, the
+    // accumulators directly when there is one.
     std::vector<Job> macs;
     macs.reserve(num_chunks);
     for (size_t ch = 0; ch < num_chunks; ++ch) {
@@ -291,32 +263,23 @@ PirEngine::fold(const ResidentPirDb &db,
                              : nullptr;
         Job mac = stream->task(
             cols * comps,
-            [this, &db, &dig, &accs, &mod, out_base, r0, r1, comps,
-             lb, n, rows, dim1](size_t idx) {
+            [&db, &dig, &accs, &mod, out_base, r0, r1, comps, lb, n,
+             rows, dim1](size_t idx) {
                 size_t c = idx / comps;
                 size_t j = idx % comps;
                 Poly &dst = out_base != nullptr
                                 ? out_base[idx]
                                 : glweComp(accs[c], j);
-                u64 *out = dst.coeffs().data();
+                // lb <= extRows() <= 16, checked by validate()
+                const u64 *d[kGadgetMacMaxRows] = {};
+                const u64 *rec[kGadgetMacMaxRows] = {};
                 for (size_t r = r0; r < r1; ++r) {
-                    bool first = (r == r0);
                     for (u32 l = 0; l < lb; ++l) {
-                        const u64 *d =
-                            dig[r * rows + j * lb + l].coeffs().data();
-                        const u64 *rec =
-                            db.poly(c * dim1 + r, l).coeffs().data();
-                        if (first && l == 0) {
-                            for (size_t i = 0; i < n; ++i) {
-                                out[i] = mod.mul(d[i], rec[i]);
-                            }
-                        } else {
-                            for (size_t i = 0; i < n; ++i) {
-                                out[i] =
-                                    mod.mulAdd(d[i], rec[i], out[i]);
-                            }
-                        }
+                        d[l] = dig[r * rows + j * lb + l].coeffs().data();
+                        rec[l] = db.poly(c * dim1 + r, l).coeffs().data();
                     }
+                    gadgetMac(dst.coeffs().data(), d, rec, lb, n, mod,
+                              r != r0);
                 }
             },
             std::move(deps),

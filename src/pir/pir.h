@@ -124,9 +124,8 @@ class PirEngine
      * output accumulator per column. Recorded into a CommandStream —
      * per-row decompose -> NTT chains feed per-chunk MAC commands, so
      * pipelined engines overlap row r+1's NTTs with row r's MACs and
-     * the sim prices the DAG's makespan. Chunk width comes from
-     * TRINITY_PIR_FOLD_CHUNK (first-dimension rows per partial
-     * accumulator).
+     * the sim prices the DAG's makespan. Each chunk of 16
+     * first-dimension rows accumulates into its own partial.
      */
     std::vector<GlweCiphertext>
     fold(const ResidentPirDb &db,
@@ -138,7 +137,6 @@ class PirEngine
   private:
     std::shared_ptr<TfheContext> ctx_;
     PirParams params_;
-    size_t foldChunk_;
 };
 
 } // namespace pir

@@ -17,19 +17,12 @@ GlweSecretKey::extractLweKey() const
 }
 
 TfheContext::TfheContext(const TfheParams &params, u64 seed)
-    : params_(params), mod_(params.q), rng_(seed)
+    : params_(params), mod_(params.q), rng_(seed),
+      gadget_(params.q, params.logBg, params.lb),
+      ksGadget_(params.q, params.logBks, params.lk)
 {
     trinity_assert(params.q != 0, "TfheParams.q not initialized");
     table_ = NttTableCache::get(params.bigN, params.q);
-    gadget_.resize(params.lb);
-    // g_l = round(q / Bg^(l+1)); q is prime so these are approximate
-    // gadget elements — the rounding is absorbed as decomposition
-    // noise (Joye-Walter "Liberating TFHE").
-    for (u32 l = 0; l < params.lb; ++l) {
-        u128 denom = u128(1) << (params.logBg * (l + 1));
-        gadget_[l] = static_cast<u64>((u128(params.q) + denom / 2) /
-                                      denom);
-    }
 }
 
 LweSecretKey
@@ -171,7 +164,8 @@ TfheContext::ggswEncrypt(i64 mu, const GlweSecretKey &sk, double sigma)
     for (size_t j = 0; j <= params_.k; ++j) {
         for (u32 l = 0; l < params_.lb; ++l) {
             GlweCiphertext row = glweEncrypt(zero, sk, sigma);
-            u64 term = mod_.mul(toResidue(mu, params_.q), gadget_[l]);
+            u64 term =
+                mod_.mul(toResidue(mu, params_.q), gadget_.element(l));
             if (j < params_.k) {
                 row.a[j][0] = mod_.add(row.a[j][0], term);
             } else {
@@ -197,7 +191,7 @@ TfheContext::ggswEncryptPoly(const Poly &mu, const GlweSecretKey &sk,
         for (u32 l = 0; l < params_.lb; ++l) {
             GlweCiphertext row = glweEncrypt(zero, sk, sigma);
             Poly term = mu;
-            term.scalarMulInPlace(gadget_[l]);
+            term.scalarMulInPlace(gadget_.element(l));
             if (j < params_.k) {
                 row.a[j].addInPlace(term);
             } else {
@@ -257,32 +251,6 @@ TfheContext::ggswToEval(GgswCiphertext &ggsw) const
     ggsw.inEval = true;
 }
 
-void
-TfheContext::decomposeScalar(u64 x, i64 *digits) const
-{
-    u32 lb = params_.lb;
-    u32 log_bg = params_.logBg;
-    u64 bg = 1ULL << log_bg;
-    u64 half_bg = bg >> 1;
-    // y = round(x * Bg^lb / q) in [0, Bg^lb]
-    u128 scale = u128(1) << (log_bg * lb);
-    u128 y = (u128(x) * scale + params_.q / 2) / params_.q;
-    // Balanced base-Bg digits, least significant first; final carry
-    // wraps modulo Bg^lb (equivalent to subtracting q).
-    u64 carry = 0;
-    for (u32 l = lb; l-- > 0;) {
-        u64 r = static_cast<u64>(y & (bg - 1)) + carry;
-        y >>= log_bg;
-        if (r >= half_bg) {
-            digits[l] = static_cast<i64>(r) - static_cast<i64>(bg);
-            carry = 1;
-        } else {
-            digits[l] = static_cast<i64>(r);
-            carry = 0;
-        }
-    }
-}
-
 std::vector<Poly>
 TfheContext::decompose(const GlweCiphertext &ct) const
 {
@@ -297,16 +265,10 @@ TfheContext::decompose(const GlweCiphertext &ct) const
     }
     emitKernel(sim::KernelType::Decomp, (params_.k + 1) * n, n);
     activeBackend().run(params_.k + 1, [&](size_t j) {
-        const Poly &src = j < params_.k ? ct.a[j] : ct.b;
+        const Poly &src = glweComp(ct, j);
         trinity_assert(src.domain() == Domain::Coeff,
                        "decompose needs coefficient domain");
-        std::vector<i64> digits(lb);
-        for (size_t i = 0; i < n; ++i) {
-            decomposeScalar(src[i], digits.data());
-            for (u32 l = 0; l < lb; ++l) {
-                out[j * lb + l][i] = toResidue(digits[l], params_.q);
-            }
-        }
+        gadget_.decomposePoly(src.coeffs().data(), n, &out[j * lb]);
     });
     return out;
 }
@@ -317,6 +279,8 @@ TfheContext::externalProduct(const GgswCiphertext &ggsw,
 {
     trinity_assert(ggsw.inEval,
                    "GGSW must be in the NTT domain (call ggswToEval)");
+    trinity_assert(params_.extRows() <= kGadgetMacMaxRows,
+                   "externalProduct: unsupported gadget shape");
     auto dec = decompose(ct);
     // Forward NTT of every decomposed polynomial as one batch (the
     // NTT kernels of Algorithm 2 line 9).
@@ -334,14 +298,14 @@ TfheContext::externalProduct(const GgswCiphertext &ggsw,
     emitKernel(sim::KernelType::Ip,
                static_cast<u64>(dec.size()) * (params_.k + 1) * n, n);
     activeBackend().run(params_.k + 1, [&](size_t j) {
-        Poly &dst = j < params_.k ? acc.a[j] : acc.b;
+        const u64 *lhs[kGadgetMacMaxRows] = {};
+        const u64 *rhs[kGadgetMacMaxRows] = {};
         for (size_t t = 0; t < dec.size(); ++t) {
-            const GlweCiphertext &row = ggsw.rows[t];
-            const Poly &rhs = j < params_.k ? row.a[j] : row.b;
-            for (size_t c = 0; c < n; ++c) {
-                dst[c] = mod_.mulAdd(dec[t][c], rhs[c], dst[c]);
-            }
+            lhs[t] = dec[t].coeffs().data();
+            rhs[t] = glweComp(ggsw.rows[t], j).coeffs().data();
         }
+        gadgetMac(glweComp(acc, j).coeffs().data(), lhs, rhs, dec.size(),
+                  n, mod_, false);
     });
     // Inverse NTTs (Algorithm 2 line 11).
     std::vector<NttJob> jobs;
@@ -364,23 +328,6 @@ TfheContext::cmux(const GgswCiphertext &c, const GlweCiphertext &ct0,
     GlweCiphertext prod = externalProduct(c, diff);
     return glweAdd(ct0, prod);
 }
-
-namespace {
-
-/** Component c of a GLWE, counting the body as component k. */
-Poly &
-glweComp(GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-const Poly &
-glweComp(const GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-} // namespace
 
 void
 TfheContext::cmuxRotateBatch(const GgswCiphertext &ggsw,
@@ -411,9 +358,8 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
     size_t rows = params_.extRows();
     u64 two_n = 2 * n;
     u32 lb = params_.lb;
-    // Bounds the fixed-size digit/pointer arrays below and guarantees
-    // the lazy MAC accumulation cannot overflow 128 bits.
-    trinity_assert(rows <= 16 && params_.q < (1ULL << 61),
+    // Bounds the fixed-size digit/pointer arrays below.
+    trinity_assert(rows <= kGadgetMacMaxRows,
                    "cmuxRotateBatch: unsupported gadget shape");
 
     // A zero rotation is a no-op CMux (the sequential path skips it);
@@ -476,7 +422,7 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
                     // Negacyclic gather of (acc * X^t)[x].
                     size_t i0 = (x + two_n - t) % two_n;
                     u64 rot = i0 < n ? s[i0] : mod_.neg(s[i0 - n]);
-                    decomposeScalar(mod_.sub(rot, s[x]), digits);
+                    gadget_.decompose(mod_.sub(rot, s[x]), digits);
                     for (u32 l = 0; l < lb; ++l) {
                         sc.dec[j * rows + c * lb + l][x] =
                             toResidue(digits[l], params_.q);
@@ -499,36 +445,23 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
         Job ntt = stream.nttForward(std::move(fwd), {dec});
 
         // (4) External-product MACs against the shared GGSW rows,
-        // with lazy reduction: each output coefficient accumulates
-        // its rows' products in 128 bits and reduces once, replacing
-        // `rows` Barrett reductions per coefficient with one. Exact —
-        // rows * (q-1)^2 never overflows (asserted above) and
-        // reduce128 handles any 128-bit input — so the reduced sum is
-        // bit-identical to the sequential mulAdd chain of
-        // externalProduct().
+        // through the same gadgetMac as externalProduct(): one exact
+        // reduction per output coefficient.
         for (size_t c = 0; c < comps; ++c) {
             glweComp(sc.prod[j], c).setDomain(Domain::Eval);
         }
         Job mac = stream.task(
             comps,
             [this, &ggsw, j, &sc, n, rows](size_t c) {
-                Poly &dst = glweComp(sc.prod[j], c);
-                const u64 *dec_ptr[16];
-                const u64 *rhs_ptr[16];
+                const u64 *dec_ptr[kGadgetMacMaxRows] = {};
+                const u64 *rhs_ptr[kGadgetMacMaxRows] = {};
                 for (size_t r = 0; r < rows; ++r) {
                     dec_ptr[r] = sc.dec[j * rows + r].coeffs().data();
                     rhs_ptr[r] =
                         glweComp(ggsw.rows[r], c).coeffs().data();
                 }
-                u64 *out = dst.coeffs().data();
-                for (size_t i = 0; i < n; ++i) {
-                    u128 acc = 0;
-                    for (size_t r = 0; r < rows; ++r) {
-                        acc += static_cast<u128>(dec_ptr[r][i]) *
-                               rhs_ptr[r][i];
-                    }
-                    out[i] = mod_.reduce128(acc);
-                }
+                gadgetMac(glweComp(sc.prod[j], c).coeffs().data(),
+                          dec_ptr, rhs_ptr, rows, n, mod_, false);
             },
             {ntt},
             {{sim::KernelType::Ip,

@@ -14,6 +14,7 @@
 #include "backend/poly_backend.h"
 #include "common/rng.h"
 #include "poly/poly.h"
+#include "tfhe/gadget.h"
 #include "tfhe/params.h"
 
 namespace trinity {
@@ -40,6 +41,19 @@ struct GgswCiphertext
     /** Rows pre-transformed to the NTT domain (transform-domain reuse). */
     bool inEval = false;
 };
+
+/** Component c of a GLWE, counting the body as component k. */
+inline Poly &
+glweComp(GlweCiphertext &ct, size_t c)
+{
+    return c < ct.a.size() ? ct.a[c] : ct.b;
+}
+
+inline const Poly &
+glweComp(const GlweCiphertext &ct, size_t c)
+{
+    return c < ct.a.size() ? ct.a[c] : ct.b;
+}
 
 /** Binary LWE secret key. */
 struct LweSecretKey
@@ -80,7 +94,7 @@ struct CmuxBatchScratch
     u64 boundStream = 0;
 };
 
-/** TFHE context: parameters + samplers + gadget precomputation. */
+/** TFHE context: parameters + samplers + the two gadgets. */
 class TfheContext
 {
   public:
@@ -89,6 +103,12 @@ class TfheContext
     const TfheParams &params() const { return params_; }
     u64 q() const { return params_.q; }
     const Modulus &modulus() const { return mod_; }
+    /** External-product gadget (logBg, lb): GGSW rows, blind
+     *  rotation, the PIR fold and query encoding. */
+    const Gadget &gadget() const { return gadget_; }
+    /** Keyswitch gadget (logBks, lk): the LWE keyswitch key and the
+     *  PIR Galois keys. */
+    const Gadget &ksGadget() const { return ksGadget_; }
 
     // --- key generation -------------------------------------------------
     LweSecretKey makeLweKey();
@@ -117,17 +137,8 @@ class TfheContext
     /** Move all GGSW rows to the NTT domain (done once at keygen). */
     void ggswToEval(GgswCiphertext &ggsw) const;
 
-    /**
-     * Signed gadget decomposition of a residue x into lb digits
-     * d_l in [-Bg/2, Bg/2), so x ~ sum d_l * g_l.
-     */
-    void decomposeScalar(u64 x, i64 *digits) const;
-
     /** Decompose every coefficient of a GLWE into (k+1)*lb polys. */
     std::vector<Poly> decompose(const GlweCiphertext &ct) const;
-
-    /** Gadget element g_l = round(q / Bg^(l+1)). */
-    u64 gadget(u32 level) const { return gadget_[level]; }
 
     /**
      * External Product: GGSW (x) GLWE via (k+1)*lb forward NTTs, MAC
@@ -209,7 +220,8 @@ class TfheContext
     TfheParams params_;
     Modulus mod_;
     Rng rng_;
-    std::vector<u64> gadget_; ///< g_0..g_{lb-1}
+    Gadget gadget_;
+    Gadget ksGadget_;
     std::shared_ptr<const NttTable> table_;
 
     Poly noisePoly(double sigma);

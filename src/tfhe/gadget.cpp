@@ -1,9 +1,8 @@
-#include "pir/gadget.h"
+#include "tfhe/gadget.h"
 
 #include "common/logging.h"
 
 namespace trinity {
-namespace pir {
 
 Gadget::Gadget(u64 q, u32 log_b, u32 levels)
     : q_(q), log_b_(log_b), levels_(levels)
@@ -12,6 +11,9 @@ Gadget::Gadget(u64 q, u32 log_b, u32 levels)
                        u64(log_b) * levels <= 64,
                    "unsupported gadget shape logB=%u levels=%u", log_b,
                    levels);
+    // q is prime, so these are approximate gadget elements — the
+    // rounding is absorbed as decomposition noise (Joye-Walter
+    // "Liberating TFHE").
     g_.resize(levels);
     for (u32 l = 0; l < levels; ++l) {
         u128 denom = u128(1) << (log_b * (l + 1));
@@ -44,5 +46,33 @@ Gadget::decompose(u64 x, i64 *digits) const
     }
 }
 
-} // namespace pir
+void
+Gadget::decomposePoly(const u64 *src, size_t n, Poly *limbs) const
+{
+    i64 digits[64] = {}; // levels <= 64, asserted at construction
+    for (size_t i = 0; i < n; ++i) {
+        decompose(src[i], digits);
+        for (u32 l = 0; l < levels_; ++l) {
+            limbs[l][i] = toResidue(digits[l], q_);
+        }
+    }
+}
+
+void
+gadgetMac(u64 *dst, const u64 *const *a, const u64 *const *b, size_t rows,
+          size_t n, const Modulus &mod, bool accumulate)
+{
+    trinity_assert(rows <= kGadgetMacMaxRows &&
+                       mod.value() < (1ULL << 61),
+                   "gadgetMac: %zu rows at q=%llu overflow 128 bits",
+                   rows, (unsigned long long)mod.value());
+    for (size_t i = 0; i < n; ++i) {
+        u128 acc = accumulate ? dst[i] : 0;
+        for (size_t r = 0; r < rows; ++r) {
+            acc += static_cast<u128>(a[r][i]) * b[r][i];
+        }
+        dst[i] = mod.reduce128(acc);
+    }
+}
+
 } // namespace trinity

@@ -34,20 +34,14 @@ TfheKeySwitchKey
 TfheBootstrapper::makeKeySwitchKey(const GlweSecretKey &from,
                                    const LweSecretKey &to)
 {
-    const auto &p = ctx_->params();
+    const Gadget &ks = ctx_->ksGadget();
     LweSecretKey wide = from.extractLweKey();
     TfheKeySwitchKey ksk;
-    ksk.logB = p.logBks;
-    ksk.levels = p.lk;
     ksk.rows.resize(wide.s.size());
-    const Modulus &m = ctx_->modulus();
     for (size_t i = 0; i < wide.s.size(); ++i) {
-        ksk.rows[i].reserve(p.lk);
-        for (u32 j = 0; j < p.lk; ++j) {
-            u128 denom = u128(1) << (p.logBks * (j + 1));
-            u64 g = static_cast<u64>((u128(p.q) + denom / 2) / denom);
-            u64 msg = wide.s[i] ? g : 0;
-            (void)m;
+        ksk.rows[i].reserve(ks.levels());
+        for (u32 j = 0; j < ks.levels(); ++j) {
+            u64 msg = wide.s[i] ? ks.element(j) : 0;
             ksk.rows[i].push_back(ctx_->lweEncrypt(msg, to));
         }
     }
@@ -135,15 +129,14 @@ TfheBootstrapper::keySwitchInto(const LweCiphertext &wide,
 {
     const auto &p = ctx_->params();
     const Modulus &m = ctx_->modulus();
-    trinity_assert(wide.a.size() == ksk.rows.size(),
+    const Gadget &ks = ctx_->ksGadget();
+    u32 lk = ks.levels();
+    trinity_assert(wide.a.size() == ksk.rows.size() &&
+                       (ksk.rows.empty() || ksk.rows[0].size() == lk),
                    "ksk dimension mismatch");
     out.a.assign(p.nLwe, 0);
     out.b = wide.b;
     // c'' = (0,...,0,b') - sum_i sum_j d_ij * ksk[i][j]
-    u32 lk = ksk.levels;
-    u32 log_b = ksk.logB;
-    u64 base = 1ULL << log_b;
-    u64 half = base >> 1;
     u64 mac_lanes = 0;
     std::vector<i64> digits(lk);
     for (size_t i = 0; i < wide.a.size(); ++i) {
@@ -151,21 +144,7 @@ TfheBootstrapper::keySwitchInto(const LweCiphertext &wide,
         if (x == 0) {
             continue;
         }
-        // Balanced base-B decomposition of x (lk levels).
-        u128 scale = u128(1) << (log_b * lk);
-        u128 y = (u128(x) * scale + p.q / 2) / p.q;
-        u64 carry = 0;
-        for (u32 l = lk; l-- > 0;) {
-            u64 r = static_cast<u64>(y & (base - 1)) + carry;
-            y >>= log_b;
-            if (r >= half) {
-                digits[l] = static_cast<i64>(r) - static_cast<i64>(base);
-                carry = 1;
-            } else {
-                digits[l] = static_cast<i64>(r);
-                carry = 0;
-            }
-        }
+        ks.decompose(x, digits.data());
         for (u32 j = 0; j < lk; ++j) {
             if (digits[j] == 0) {
                 continue;

@@ -20,12 +20,11 @@ struct TfheBootstrapKey
     std::vector<GgswCiphertext> bsk;
 };
 
-/** KeySwitch key: kN x lk LWE encryptions of s_glwe[i] * gks_j. */
+/** KeySwitch key: kN x lk LWE encryptions of s_glwe[i] * gks_j,
+ *  gks being the context's ksGadget(). */
 struct TfheKeySwitchKey
 {
     std::vector<std::vector<LweCiphertext>> rows;
-    u32 logB = 0;
-    u32 levels = 0;
 };
 
 /** Runs Algorithm 2 and generates its key material. */

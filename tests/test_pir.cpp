@@ -1,11 +1,11 @@
 /**
  * @file
- * PIR subsystem tests: gadget exactness, keyswitched automorphisms,
- * oblivious query expansion (exact one-hot for random indices),
- * RLWE->GSW conversion, CMux-tree-vs-direct-index equivalence, the
- * end-to-end answer/decode path on every engine (bit-identical
- * serial vs threads vs simd vs sim), and the weight-accounted
- * database residency cache.
+ * PIR subsystem tests: the engine's gadget-shape check, keyswitched
+ * automorphisms, oblivious query expansion (exact one-hot for random
+ * indices), RLWE->GSW conversion, CMux-tree-vs-direct-index
+ * equivalence, the end-to-end answer/decode path on every engine
+ * (bit-identical serial vs threads vs simd vs sim), and the
+ * weight-accounted database residency cache.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +18,9 @@
 #include "backend/registry.h"
 #include "backend/thread_pool_backend.h"
 #include "pir/database.h"
-#include "pir/gadget.h"
 #include "pir/pir.h"
 #include "runtime/pir_server.h"
+#include "tfhe/gadget.h"
 
 namespace trinity {
 namespace pir {
@@ -59,43 +59,25 @@ centeredAbs(const Modulus &mod, u64 x)
     return static_cast<u64>(c < 0 ? -c : c);
 }
 
-// ----------------------------------------------------------------- gadget
+// ----------------------------------------------------------- engine setup
 
-void
-checkGadgetReconstruction(u64 q, u32 logB, u32 levels)
+/** The engine's context supplies both gadgets, so a context that
+ *  differs from the params in any gadget field must be refused. */
+TEST(PirEngineDeathTest, RejectsContextWithAnotherGadgetShape)
 {
-    Gadget g(q, logB, levels);
-    Modulus mod(q);
-    Rng rng(7);
-    std::vector<i64> digits(levels);
-    // Truncation term q / B^levels (zero once the gadget covers all
-    // of q) plus the per-level rounding of g_l = round(q / B^(l+1)).
-    u32 width = logB * levels;
-    u64 bound = (width >= 63 ? 0 : (q >> width)) +
-                u64(levels) * (1ULL << logB);
-    for (int trial = 0; trial < 200; ++trial) {
-        u64 x = rng.uniform(q);
-        g.decompose(x, digits.data());
-        u64 recon = 0;
-        for (u32 l = 0; l < levels; ++l) {
-            EXPECT_LT(std::abs(digits[l]),
-                      i64(1) << (logB - 1) | 1);
-            u64 d = toResidue(digits[l], mod.value());
-            recon = mod.add(recon, mod.mul(d, g.element(l)));
-        }
-        EXPECT_LE(centeredAbs(mod, mod.sub(recon, x)), bound)
-            << "x=" << x << " logB=" << logB << " levels=" << levels;
-    }
-}
-
-TEST(PirGadget, ReconstructsWithinBound)
-{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     PirParams pp = PirParams::testTiny();
-    const u64 q = pp.tfhe.q;
-    // Fold/CMux gadget: top-32 truncated decomposition.
-    checkGadgetReconstruction(q, pp.tfhe.logBg, pp.tfhe.lb);
-    // Expansion keyswitch gadget: full-width, near-exact.
-    checkGadgetReconstruction(q, pp.tfhe.logBks, pp.tfhe.lk);
+    std::vector<TfheParams> others(5, pp.tfhe);
+    others[0].k = 2;
+    others[1].lb -= 1;
+    others[2].logBg += 1;
+    others[3].lk -= 1;
+    others[4].logBks -= 1;
+    for (const TfheParams &other : others) {
+        auto ctx = std::make_shared<TfheContext>(other, 1);
+        EXPECT_DEATH({ PirEngine engine(ctx, pp); },
+                     "engine context/parameter mismatch");
+    }
 }
 
 // --------------------------------------------------- keyswitched automorphism

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/primes.h"
+#include "pir/params.h"
 #include "tfhe/gates.h"
 
 namespace trinity {
@@ -84,31 +86,106 @@ TEST_F(TfheFixture, TrivialGlweIsNoiseFree)
     EXPECT_EQ(phase.infNorm(), 0u);
 }
 
-TEST_F(TfheFixture, GadgetDecompositionReconstructs)
+/** Every gadget shape in use: the bsk and ksk gadgets of each TFHE
+ *  set, and the fold and Galois-keyswitch gadgets of each PIR set. */
+TEST(Gadget, EveryShapeInUseReconstructsWithinBound)
 {
-    const auto &p = ctx->params();
-    const Modulus &m = ctx->modulus();
     Rng rng(72);
-    std::vector<i64> digits(p.lb);
-    u64 bg_half = 1ULL << (p.logBg - 1);
-    for (int trial = 0; trial < 200; ++trial) {
-        u64 x = rng.uniform(p.q);
-        ctx->decomposeScalar(x, digits.data());
-        u64 approx = 0;
-        for (u32 l = 0; l < p.lb; ++l) {
-            EXPECT_LT(std::abs(digits[l]),
-                      static_cast<i64>(bg_half) + 1);
-            approx = m.add(approx,
-                           m.mul(toResidue(digits[l], p.q),
-                                 ctx->gadget(l)));
+    for (const TfheParams &p :
+         {TfheParams::setI(), TfheParams::setII(), TfheParams::setIII(),
+          TfheParams::testTiny(), pir::PirParams::standard().tfhe,
+          pir::PirParams::testTiny().tfhe}) {
+        TfheContext ctx(p, 1);
+        const Modulus &m = ctx.modulus();
+        for (const Gadget *g : {&ctx.gadget(), &ctx.ksGadget()}) {
+            u32 levels = g->levels();
+            u64 base = 1ULL << g->logBase();
+            u128 b_levels = u128(1) << (g->logBase() * levels);
+            // Edge values, then the smallest x whose rounded value
+            // reaches B^levels (the carry wrap) when one exists below
+            // q, then random x; 256 in all for decomposePoly below.
+            std::vector<u64> xs = {0, 1, p.q / 2, p.q / 2 + 1, p.q - 1};
+            u128 wrap = (u128(p.q) * b_levels - p.q / 2 + b_levels - 1) /
+                        b_levels;
+            if (wrap < p.q) {
+                xs.push_back(static_cast<u64>(wrap));
+            }
+            while (xs.size() < 256) {
+                xs.push_back(rng.uniform(p.q));
+            }
+            // Rounding x to a multiple of q/B^levels costs at most
+            // q/(2 B^levels); rounding each g_l costs 1/2 per unit of
+            // |d_l| <= B/2.
+            double bound = static_cast<double>(p.q) /
+                               (2.0 * static_cast<double>(b_levels)) +
+                           levels * static_cast<double>(base) / 4 + 1;
+            std::vector<Poly> limbs(levels, Poly(xs.size(), p.q));
+            g->decomposePoly(xs.data(), xs.size(), limbs.data());
+            std::vector<i64> digits(levels);
+            for (size_t i = 0; i < xs.size(); ++i) {
+                g->decompose(xs[i], digits.data());
+                u64 recon = 0;
+                for (u32 l = 0; l < levels; ++l) {
+                    EXPECT_LE(std::abs(digits[l]),
+                              static_cast<i64>(base / 2));
+                    EXPECT_EQ(limbs[l][i], toResidue(digits[l], p.q));
+                    recon = m.add(recon, m.mul(toResidue(digits[l], p.q),
+                                               g->element(l)));
+                }
+                EXPECT_LE(std::abs(centeredRep(m.sub(recon, xs[i]), p.q)),
+                          bound)
+                    << p.name << " logB=" << g->logBase()
+                    << " levels=" << levels << " x=" << xs[i];
+            }
         }
-        // |x - approx| <= ~q / Bg^lb (plus gadget rounding).
-        i64 err = centeredRep(m.sub(x, approx), p.q);
-        double bound =
-            static_cast<double>(p.q) /
-                std::pow(2.0, static_cast<double>(p.logBg) * p.lb) +
-            p.lb;
-        EXPECT_LE(std::abs(err), 2 * bound + 2) << "x=" << x;
+    }
+}
+
+/** gadgetMac against a per-term mulAdd chain at the largest operands
+ *  its contract allows, with and without accumulating into dst. */
+TEST(GadgetMac, MatchesPerTermChainAtItsBound)
+{
+    // The largest NTT-friendly prime below 2^61.
+    u64 q = findNttPrimes(61, 2 * 2048, 1)[0];
+    Modulus mod(q);
+    const size_t n = 64;
+    Rng rng(73);
+    for (bool random : {false, true}) {
+        for (size_t rows : {1, 8, 15, 16}) {
+            for (bool accumulate : {false, true}) {
+                auto operand = [&] {
+                    std::vector<u64> v(n, q - 1);
+                    if (random) {
+                        for (u64 &x : v) {
+                            x = rng.uniform(q);
+                        }
+                    }
+                    return v;
+                };
+                std::vector<std::vector<u64>> a(rows), b(rows);
+                std::vector<const u64 *> pa(rows), pb(rows);
+                for (size_t r = 0; r < rows; ++r) {
+                    a[r] = operand();
+                    b[r] = operand();
+                    pa[r] = a[r].data();
+                    pb[r] = b[r].data();
+                }
+                std::vector<u64> dst = operand();
+                std::vector<u64> want(n);
+                for (size_t i = 0; i < n; ++i) {
+                    u64 acc = accumulate ? dst[i] : 0;
+                    for (size_t r = 0; r < rows; ++r) {
+                        acc = mod.mulAdd(a[r][i], b[r][i], acc);
+                    }
+                    want[i] = acc;
+                }
+                gadgetMac(dst.data(), pa.data(), pb.data(), rows, n, mod,
+                          accumulate);
+                EXPECT_EQ(dst, want) << "rows=" << rows
+                                     << " accumulate=" << accumulate
+                                     << " random=" << random;
+            }
+        }
     }
 }
 
