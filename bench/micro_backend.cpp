@@ -4,9 +4,9 @@
  * the perf trajectory of every backend (serial, SIMD at each dispatch
  * level, thread pool, and future GPU). Measures the two kernels
  * Trinity spends its area on: the batched NTT and the BConv matrix
- * product. The simd rows quantify lane-level speedup on one thread;
- * the threads rows compose workers across limbs with SIMD inside
- * each limb job.
+ * product. The simd-<level> rows (a one-thread pool pinned to that
+ * level) quantify lane-level speedup on one thread; the threads rows
+ * compose workers across limbs with SIMD inside each limb job.
  *
  * Usage: bench_micro_backend [--smoke] [--json=PATH] [N [limbs [reps]]]
  */
@@ -20,7 +20,6 @@
 
 #include "backend/registry.h"
 #include "backend/serial_backend.h"
-#include "backend/simd_backend.h"
 #include "backend/thread_pool_backend.h"
 #include "bench/bench_util.h"
 #include "common/primes.h"
@@ -132,7 +131,7 @@ main(int argc, char **argv)
         configs.push_back(
             {std::string("simd-") + simd::levelName(level), [level] {
                  return std::unique_ptr<PolyBackend>(
-                     new SimdBackend(level));
+                     new ThreadPoolBackend(1, level));
              }});
     }
     // Thread-pool rows compose workers x lanes (auto-dispatched level).

@@ -20,8 +20,8 @@
 #include "backend/auto_table.h"
 #include "backend/scratch_arena.h"
 #include "backend/serial_backend.h"
-#include "backend/simd_backend.h"
 #include "backend/simd_kernels.h"
+#include "backend/thread_pool_backend.h"
 #include "bench/bench_util.h"
 #include "common/primes.h"
 #include "common/rng.h"
@@ -147,7 +147,7 @@ main(int argc, char **argv)
             continue;
         }
         const simd::KernelSet *ks = &simd::kernelsForLevel(level);
-        auto engine = std::make_shared<SimdBackend>(level);
+        auto engine = std::make_shared<ThreadPoolBackend>(1, level);
         configs.push_back(
             {std::string("simd-") + simd::levelName(level),
              [&, engine, reps] {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/configs.h"
@@ -128,7 +129,9 @@ measureBatchedPbsOps(TfheGateBootstrapper &gb,
     return ops;
 }
 
-/** Sync-vs-stream A/B on a freshly built thread-pool engine: the same
+/** Sync-vs-stream A/B on a freshly built thread-pool engine at full
+ *  hardware width (TRINITY_THREADS sizes only the active engine the
+ *  other CPU rows run on, so a one-thread run keeps this row): the same
  *  fused batch, first with eager record-order execution forced (every
  *  recorded command a blocking per-command barrier — narrower batches
  *  than PR 4's fused per-stage dispatches, so this isolates what the
@@ -142,7 +145,8 @@ measureThreadsSyncVsStream(TfheGateBootstrapper &gb, size_t B,
 {
     auto &reg = BackendRegistry::instance();
     std::string prev = activeBackend().name();
-    reg.use(std::make_unique<ThreadPoolBackend>());
+    reg.use(std::make_unique<ThreadPoolBackend>(
+        std::thread::hardware_concurrency()));
     runtime::BatchedBootstrapper bb(gb);
     overrideStreams(0);
     *sync_ops = measureBatchedPbsOps(gb, bb, B, bd, nullptr);

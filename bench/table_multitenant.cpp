@@ -5,7 +5,8 @@
  * popularity while the per-shard KeyStores run at a budget smaller
  * than the tenants' combined working set, so lazy materialization,
  * LRU eviction, and refault all happen under live traffic. Reported
- * per engine (serial/threads/simd): saturation OPS, per-shard
+ * per engine (serial, threads, and simd-<level>: a one-thread pool at
+ * the dispatched SIMD level): saturation OPS, per-shard
  * request-latency p50/p99/p999, keystore hit rate and evictions —
  * plus one fused tenant batch priced on the Trinity-TFHE machine
  * model. Every decrypted result is verified against the submitted
@@ -26,6 +27,7 @@
 #include "accel/configs.h"
 #include "backend/registry.h"
 #include "backend/sim_backend.h"
+#include "backend/thread_pool_backend.h"
 #include "bench/bench_util.h"
 #include "common/modarith.h"
 #include "obs/metrics.h"
@@ -241,12 +243,18 @@ main(int argc, char **argv)
 
     auto &breg = BackendRegistry::instance();
     std::string prev = activeBackend().name();
-    for (const char *engine : {"serial", "threads", "simd"}) {
-        breg.select(engine);
+    const std::string simdRow =
+        std::string("simd-") + simd::levelName(simd::resolveLevel());
+    for (const std::string &name :
+         {std::string("serial"), std::string("threads"), simdRow}) {
+        if (name == simdRow) {
+            breg.use(std::make_unique<ThreadPoolBackend>(1));
+        } else {
+            breg.select(name);
+        }
         resetShardHistograms(shards);
         LoadResult res = runLoad(ctx, fleet, shards, budget, clients,
                                  perClient);
-        std::string name(engine);
         row(name + " saturation", params.name + " closed loop",
             res.ops, "OPS", "measured");
         reportShardTails(name, shards);

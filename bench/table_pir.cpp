@@ -6,7 +6,8 @@
  * CommandStream first-dimension fold, CMux tree, modulus switch) and
  * every response is decrypt-verified against the addressed record, so
  * the rows double as an end-to-end correctness check. Reported per
- * engine (serial/threads/simd): queries/sec and the one-time
+ * engine (serial, threads, and simd-<level>: a one-thread pool at the
+ * dispatched SIMD level): queries/sec and the one-time
  * database materialization cost, across a resident-size sweep that
  * tops out above 1 GB in the full run — plus one query priced on the
  * Trinity-TFHE machine model.
@@ -30,6 +31,7 @@
 #include "backend/registry.h"
 #include "backend/sim_backend.h"
 #include "backend/simd_kernels.h"
+#include "backend/thread_pool_backend.h"
 #include "bench/bench_util.h"
 #include "pir/pir.h"
 
@@ -116,6 +118,8 @@ main(int argc, char **argv)
     u64 wrong = 0;
     double gateSerialQps = 0;
     double gateSimdQps = 0;
+    const std::string simdRow =
+        std::string("simd-") + simd::levelName(simd::resolveLevel());
 
     for (size_t s = 0; s < sweep.size(); ++s) {
         const pir::PirParams &pp = sweep[s];
@@ -141,19 +145,23 @@ main(int argc, char **argv)
              std::to_string(pp.logP) + ", queries=" +
              std::to_string(nq));
 
-        for (const char *engine : {"serial", "threads", "simd"}) {
-            breg.select(engine);
+        for (const std::string &name :
+             {std::string("serial"), std::string("threads"), simdRow}) {
+            if (name == simdRow) {
+                breg.use(std::make_unique<ThreadPoolBackend>(1));
+            } else {
+                breg.select(name);
+            }
             EngineRun res = runEngine(client, keys, db, nq);
             breg.select("serial");
             wrong += res.wrong;
-            std::string name(engine);
             row(name, "pir.qps " + tag, res.qps, "q/s", "measured");
             row(name, "pir.materialize " + tag, res.materializeMs,
                 "ms", "measured");
             if (s == 0) {
                 if (name == "serial") {
                     gateSerialQps = res.qps;
-                } else if (name == "simd") {
+                } else if (name == simdRow) {
                     gateSimdQps = res.qps;
                 }
             }
@@ -166,9 +174,7 @@ main(int argc, char **argv)
     // name (the gate skips rows missing on either side).
     if (gateSerialQps > 0) {
         row("serial", "pir.qps.speedup", 1.0, "x", "measured");
-        row(std::string("simd-") +
-                simd::levelName(simd::resolveLevel()),
-            "pir.qps.speedup", gateSimdQps / gateSerialQps, "x",
+        row(simdRow, "pir.qps.speedup", gateSimdQps / gateSerialQps, "x",
             "measured");
     }
 

@@ -20,8 +20,8 @@
  *
  * Execution policy is the engine's choice:
  *  - the default EagerStream executes each command at record time in
- *    record order through the blocking entry points, so serial/simd
- *    engines behave exactly as before;
+ *    record order through the blocking entry points, so the serial
+ *    engine (and a pool without workers) behaves exactly as before;
  *  - ThreadPoolBackend runs a dependency-counting pipelined executor
  *    over its worker pool, overlapping independent commands;
  *  - SimBackend executes functionally at record time and, at submit,
@@ -295,8 +295,9 @@ class CommandStream
  * Default executor: every command runs at record time, in record
  * order, through the owner's blocking batch entry points — submit()
  * and wait() only validate the protocol. Single-stream engines
- * (serial, simd) are therefore byte-for-byte unchanged by stream
- * migration, and TRINITY_STREAMS=off gives every engine this policy.
+ * (serial, a one-thread pool) are therefore byte-for-byte unchanged by
+ * stream migration, and TRINITY_STREAMS=off gives every engine this
+ * policy.
  */
 class EagerStream final : public CommandStream
 {
@@ -305,49 +306,6 @@ class EagerStream final : public CommandStream
 
   protected:
     void onRecord(Command &c) override;
-};
-
-/**
- * Width-restoring eager executor: commands still run in record order
- * on the recording thread, but adjacent commands of the same batchable
- * op whose dependencies do not cross are held in a window and executed
- * as ONE wide batch call when the window closes (different op, a
- * dependency into the window, fence/submit).
- *
- * Rationale: recording sites tuned for pipelined executors split work
- * into narrow per-limb commands so the dependency graph is fine-
- * grained (hybrid keyswitch records one NTT command per conversion
- * output limb). On an engine that executes eagerly that granularity
- * is pure overhead — l dispatches of 1 job instead of one dispatch of
- * l jobs, defeating the engine's cross-job scheduling. Coalescing
- * restores the wide batches without the recording site caring which
- * executor it talks to. Window members are mutually independent by
- * construction, so batch-call job order equals record order and
- * results stay bit-identical.
- *
- * Reports deferredExecution() = true: a buffered command's payload is
- * read at flush time, so recording sites must keep per-command buffers
- * distinct, exactly as for a pipelined executor.
- */
-class CoalescingEagerStream final : public CommandStream
-{
-  public:
-    using CommandStream::CommandStream;
-
-    bool deferredExecution() const override { return true; }
-
-  protected:
-    void onRecord(Command &c) override;
-    void onSubmit() override { flush(); }
-
-  private:
-    static bool coalescible(Op op);
-    bool depInWindow(const Command &c) const;
-    void flush();
-    void executeNow(Command &c);
-
-    std::vector<u32> window_; ///< buffered command indices, one op
-    Op windowOp_ = Op::Fence;
 };
 
 } // namespace trinity

@@ -5,7 +5,6 @@
 #include "accel/configs.h"
 #include "backend/serial_backend.h"
 #include "backend/sim_backend.h"
-#include "backend/simd_backend.h"
 #include "backend/thread_pool_backend.h"
 #include "common/logging.h"
 
@@ -18,12 +17,6 @@ BackendRegistry::BackendRegistry()
     });
     registerFactory("threads", [] {
         return std::unique_ptr<PolyBackend>(new ThreadPoolBackend());
-    });
-    // Single-threaded vector-lane engine; level picked by runtime
-    // CPUID dispatch (avx512 -> avx2 -> scalar), forced via
-    // TRINITY_SIMD_LEVEL. Also a valid TRINITY_SIM_INNER.
-    registerFactory("simd", [] {
-        return std::unique_ptr<PolyBackend>(new SimdBackend());
     });
     // The simulated-accelerator timing backend: a functional engine
     // wrapped so every batch charges cycles to a machine model.

@@ -2,12 +2,11 @@
  * @file
  * Process-wide backend selection. The active engine is resolved once
  * from the TRINITY_BACKEND env var ("serial" by default, "threads"
- * for the worker-pool engine, "simd" for the vector-lane engine,
- * "sim" for the simulated-accelerator timing backend) and can be
- * switched programmatically — tests use
- * that to compare engines in one process, benches to sweep thread
- * counts. An unknown name is rejected with an error listing every
- * registered engine.
+ * for the worker-pool engine with SIMD kernels inside each job, "sim"
+ * for the simulated-accelerator timing backend) and can be switched
+ * programmatically — tests use that to compare engines in one
+ * process, benches to sweep thread counts and SIMD levels. An unknown
+ * name is rejected with an error listing every registered engine.
  */
 
 #ifndef TRINITY_BACKEND_REGISTRY_H
@@ -27,8 +26,8 @@ class BackendRegistry
   public:
     using Factory = std::function<std::unique_ptr<PolyBackend>()>;
 
-    /** The process-wide registry ("serial", "threads", "simd", and
-     *  "sim" built in). */
+    /** The process-wide registry ("serial", "threads" and "sim"
+     *  built in). */
     static BackendRegistry &instance();
 
     /** Register a factory under @p name (future engines plug in here). */

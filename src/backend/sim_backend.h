@@ -11,8 +11,8 @@
  * TRINITY_BACKEND=sim and read the TimingLedger.
  *
  * Environment knobs (resolved when the registry builds the engine):
- *   TRINITY_SIM_INNER    functional engine to wrap ("serial" default,
- *                        "threads", or "simd")
+ *   TRINITY_SIM_INNER    functional engine to wrap ("serial" default
+ *                        or "threads")
  *   TRINITY_SIM_MACHINE  accel config, see accel::machineNames()
  *                        ("trinity-ckks" default — it routes every
  *                        kernel class, TFHE's included)

@@ -317,10 +317,10 @@ class PipelinedStream final : public CommandStream
     }
 };
 
-ThreadPoolBackend::ThreadPoolBackend(size_t threads)
+ThreadPoolBackend::ThreadPoolBackend(size_t threads, simd::Level level)
 {
     // SIMD within each limb job; threads across the jobs of a batch.
-    useKernels(simd::kernelsForLevel(simd::resolveLevel()));
+    useKernels(simd::kernelsForLevel(level));
     size_t total = resolveThreadCount(threads);
     // The submitting thread always participates, so spawn total-1.
     workers_.reserve(total - 1);
@@ -346,13 +346,10 @@ ThreadPoolBackend::newStream()
 {
     // Pipelining needs workers to overlap onto; a re-entrant stream
     // (recorded from inside a pool job) must not dispatch on the pool
-    // it is running on. Both degrade to record-order execution — but
-    // through the coalescing eager executor, which fuses the narrow
-    // per-limb commands pipelining-tuned recording sites emit back
-    // into wide batches this engine can spread across the pool. The
-    // TRINITY_STREAMS=off kill switch takes the same path.
+    // it is running on. Both degrade to record-order execution, as
+    // does the TRINITY_STREAMS=off kill switch.
     if (!streamsEnabled() || workers_.empty() || tls_in_worker) {
-        return std::make_unique<CoalescingEagerStream>(*this);
+        return PolyBackend::newStream();
     }
     return std::make_unique<PipelinedStream>(*this);
 }

@@ -7,8 +7,10 @@
  * disjoint destination limb and every kernel set computes the exact
  * canonical residues of the scalar reference, so results are
  * bit-identical to SerialBackend regardless of scheduling or lane
- * width. TRINITY_SIMD_LEVEL=scalar recovers the pure thread-pool
- * engine of PR 1.
+ * width. TRINITY_SIMD_LEVEL=scalar gives the pure thread-pool engine;
+ * at one thread (TRINITY_THREADS=1, or ThreadPoolBackend(1, level))
+ * every batch runs inline on the caller through that level's kernels,
+ * the software analogue of one BU/PE lane group working in order.
  *
  * Two paths widen beyond plain batch fan-out:
  *  - newStream() returns a pipelined executor: recorded commands run
@@ -43,8 +45,13 @@ class ThreadPoolBackend final : public PolyBackend
      *        which participates in every batch). 0 means: use the
      *        TRINITY_THREADS env var if set, else
      *        std::thread::hardware_concurrency().
+     * @param level the SIMD KernelSet every job runs through; the
+     *        default resolves TRINITY_SIMD_LEVEL / CPUID, an explicit
+     *        level pins it (fatal when unavailable) so benches and
+     *        tests sweep levels without touching the env.
      */
-    explicit ThreadPoolBackend(size_t threads = 0);
+    explicit ThreadPoolBackend(size_t threads = 0,
+                               simd::Level level = simd::resolveLevel());
     ~ThreadPoolBackend() override;
 
     ThreadPoolBackend(const ThreadPoolBackend &) = delete;
@@ -54,8 +61,9 @@ class ThreadPoolBackend final : public PolyBackend
     size_t threadCount() const override { return workers_.size() + 1; }
 
     /** Pipelined command-stream executor (dependency-counting ready
-     *  queue over the pool); eager when TRINITY_STREAMS=off, when the
-     *  pool has no workers, or when called from inside a pool job. */
+     *  queue over the pool); the plain eager stream when
+     *  TRINITY_STREAMS=off, when the pool has no workers, or when
+     *  called from inside a pool job. */
     std::unique_ptr<CommandStream> newStream() override;
 
     /** Coefficient-tiled when the batch cannot feed every worker —
@@ -68,7 +76,8 @@ class ThreadPoolBackend final : public PolyBackend
      * occupy every worker, and deep enough spans per fused request
      * stream to keep each worker's vector lanes busy. Scale the base
      * hint by half the lane width (empirically lanes saturate before
-     * jobs-per-lane does once threads already slice the batch).
+     * jobs-per-lane does once threads already slice the batch). At
+     * one thread that is 4 jobs per lane, floor 8.
      */
     size_t
     preferredBatch() const override

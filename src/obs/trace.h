@@ -12,7 +12,7 @@
  *
  * Track layout:
  *  - one pid per *executing engine* (the `track` string, normally the
- *    engine's name(): "serial", "threads", "simd"). The sim backend's
+ *    engine's name(): "serial", "threads"). The sim backend's
  *    functional work shows under its inner engine's pid, since that is
  *    the engine that actually ran it.
  *  - one tid per OS thread (dense ids in first-use order), so the

@@ -71,19 +71,22 @@ PbsServer::submit(TenantId t, LweCiphertext ct, const Poly &tv)
 std::future<LweCiphertext>
 PbsServer::enqueue(TenantId t, LweCiphertext ct, const Poly *tv)
 {
+    auto reduced = [&](const std::vector<u64> &v) {
+        return std::all_of(v.begin(), v.end(),
+                           [&](u64 x) { return x < params_.q; });
+    };
     std::string bad;
     if (ct.a.size() != params_.nLwe) {
         bad = "LWE dimension " + std::to_string(ct.a.size()) +
               ", parameter set has n_lwe=" + std::to_string(params_.nLwe);
-    } else if (ct.b >= params_.q ||
-               std::any_of(ct.a.begin(), ct.a.end(),
-                           [&](u64 x) { return x >= params_.q; })) {
+    } else if (ct.b >= params_.q || !reduced(ct.a)) {
         bad = "ciphertext coefficient not reduced mod q";
     } else if (tv != nullptr && (tv->coeffs().size() != params_.bigN ||
                                  tv->q() != params_.q ||
-                                 tv->domain() != Domain::Coeff)) {
+                                 tv->domain() != Domain::Coeff ||
+                                 !reduced(tv->coeffs()))) {
         bad = "LUT is not a coefficient-domain polynomial of N=" +
-              std::to_string(params_.bigN) + " coefficients mod q";
+              std::to_string(params_.bigN) + " coefficients reduced mod q";
     }
     if (!bad.empty()) {
         return failedFuture<LweCiphertext>(std::make_exception_ptr(

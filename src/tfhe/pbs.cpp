@@ -216,8 +216,9 @@ TfheBootstrapper::blindRotateBatch(const LweCiphertext *const *cts,
     // per step. The scratch outlives the stream (declared first) and
     // is pooled per thread across calls — its decomposition/product
     // polynomials are sized once for a given GLWE shape, so the PBS
-    // hot loop stops allocating after the first batch. A shape change
-    // (different params or a wider batch) rebuilds it.
+    // hot loop stops allocating after the first batch. A change of
+    // {N, q, k, extRows} rebuilds it; a wider batch only grows it in
+    // place (recordCmuxRotateBatch appends request slots).
     static thread_local CmuxBatchScratch scratch;
     static thread_local u64 scratch_shape[4] = {0, 0, 0, 0};
     u64 shape[4] = {p.bigN, p.q, p.k, p.extRows()};

@@ -1,7 +1,7 @@
 /**
  * @file
  * Command-stream executor tests: bit-exactness of recorded-stream vs
- * blocking execution on every engine (serial/threads/simd/sim),
+ * blocking execution on every engine (serial/threads/sim),
  * out-of-order-completion stress over randomized dependency graphs,
  * protocol death tests, the coefficient-tiled NTT path of the thread
  * pool, and the sim ledger's overlapped-makespan bracketing for a
@@ -163,7 +163,7 @@ TEST(CommandStream, RecordedStreamBitExactAcrossEngines)
     // Blocking reference: the same ops issued eagerly on serial (an
     // EagerStream is by construction the blocking path).
     std::vector<u64> ref = runWorkloadOn("serial", 99);
-    for (const char *engine : {"threads", "simd", "sim"}) {
+    for (const char *engine : {"threads", "sim"}) {
         EXPECT_EQ(runWorkloadOn(engine, 99), ref) << engine;
     }
 }

@@ -6,7 +6,8 @@
  * (deadlineUs -> DeadlineExceeded) policies with deterministic
  * counts, consistent key-affine shard routing, materialization
  * landing only on a tenant's home shard, destructor drain of the
- * sharded fleet, and malformed requests refused at submit.
+ * sharded fleet, and malformed requests refused at submit (one case
+ * per check, plus a seeded fuzz over every check).
  */
 
 #include <atomic>
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "common/modarith.h"
+#include "common/primes.h"
+#include "common/rng.h"
 #include "runtime/sharded_server.h"
 
 namespace trinity {
@@ -254,6 +257,9 @@ TEST_F(MultiTenantFixture, MalformedRequestFailsAloneWithInvalidRequest)
     Poly shortLut(p.bigN / 2, p.q);
     Poly evalLut = tenants[1].signTv;
     evalLut.setDomain(Domain::Eval);
+    Poly unreducedLut = tenants[1].signTv;
+    unreducedLut.coeffs()[0] = p.q + 5;
+    unreducedLut.coeffs()[1] = ~u64(0);
     std::vector<TenantId> healthyTenants = {0, 2, 0, 2, 0};
     std::vector<LweCiphertext> healthy;
     for (size_t i = 0; i < healthyTenants.size(); ++i) {
@@ -272,6 +278,7 @@ TEST_F(MultiTenantFixture, MalformedRequestFailsAloneWithInvalidRequest)
     bad.push_back(server.submit(1, encryptBit(1, true), shortLut));
     good.push_back(server.submit(healthyTenants[4], healthy[4]));
     bad.push_back(server.submit(1, encryptBit(1, true), evalLut));
+    bad.push_back(server.submit(1, encryptBit(1, true), unreducedLut));
 
     for (auto &f : bad) {
         EXPECT_THROW(f.get(), InvalidRequest);
@@ -287,6 +294,104 @@ TEST_F(MultiTenantFixture, MalformedRequestFailsAloneWithInvalidRequest)
     }
     EXPECT_EQ(server.stats().requests, good.size());
     EXPECT_FALSE(store.resident(1)); // refused before any key fault
+}
+
+/** A value no coefficient mod @p q may hold: uniform in [q, 2^64). */
+u64
+unreducedValue(Rng &rng, u64 q)
+{
+    return q + rng.next() % (0 - q);
+}
+
+TEST_F(MultiTenantFixture, SeededSubmitFuzzFailsOnlyMalformed)
+{
+    KeyStore store(*ctx, provider(), 0, "keystore.test.fuzz");
+    ServerOptions opts;
+    opts.maxBatch = 16;
+    opts.maxWaitUs = 20000;
+    opts.label = "pbs_server.test.fuzz";
+    PbsServer server(ctx, store, opts);
+    const TfheParams &p = ctx->params();
+    std::vector<u64> primes = findNttPrimes(40, 2 * p.bigN, 2);
+    u64 otherQ = primes[0] != p.q ? primes[0] : primes[1];
+
+    // Each malformed request is a healthy tenant-1 request with exactly
+    // one mutation; every eighth submit is a healthy request of another
+    // tenant, alternating the default and an explicit (valid) LUT.
+    constexpr size_t kMalformed = 70;
+    constexpr size_t kKinds = 7;
+    Rng rng(0xf022);
+    std::vector<TenantId> healthyTenants;
+    std::vector<LweCiphertext> healthy;
+    std::vector<std::future<LweCiphertext>> good;
+    std::vector<std::future<LweCiphertext>> bad;
+    for (size_t i = 0; i < kMalformed; ++i) {
+        if (i % 8 == 0) {
+            size_t h = healthy.size();
+            TenantId t = 2 + h % 3; // tenants 2, 3, 4
+            healthyTenants.push_back(t);
+            healthy.push_back(encryptBit(t, h % 2 == 0));
+            good.push_back(h % 2 == 0 ? server.submit(t, healthy[h])
+                                      : server.submit(t, healthy[h],
+                                                      tenants[t].signTv));
+        }
+        LweCiphertext ct = encryptBit(1, i % 2 == 0);
+        Poly lut = tenants[1].signTv;
+        bool withLut = false;
+        switch (i % kKinds) {
+        case 0: { // mask of n_lwe-1, n_lwe+1 or 0 entries
+            size_t sizes[] = {p.nLwe - 1, p.nLwe + 1, 0};
+            ct.a.resize(sizes[rng.uniform(3)], 1);
+            break;
+        }
+        case 1: // one mask entry outside [0, q)
+            ct.a[rng.uniform(p.nLwe)] = unreducedValue(rng, p.q);
+            break;
+        case 2: // body outside [0, q)
+            ct.b = unreducedValue(rng, p.q);
+            break;
+        case 3: { // LUT of N-1, N+1 or N/2 coefficients
+            size_t sizes[] = {p.bigN - 1, p.bigN + 1, p.bigN / 2};
+            lut.coeffs().resize(sizes[rng.uniform(3)]);
+            withLut = true;
+            break;
+        }
+        case 4: // LUT over another modulus
+            lut = Poly(p.bigN, otherQ);
+            withLut = true;
+            break;
+        case 5: // Eval-domain LUT
+            lut.setDomain(Domain::Eval);
+            withLut = true;
+            break;
+        case 6: // one LUT coefficient outside [0, q)
+            lut.coeffs()[rng.uniform(p.bigN)] = unreducedValue(rng, p.q);
+            withLut = true;
+            break;
+        }
+        bad.push_back(withLut ? server.submit(1, ct, lut)
+                              : server.submit(1, ct));
+    }
+    ASSERT_GE(healthy.size(), 4u);
+
+    for (size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(bad[i].get(), InvalidRequest) << "malformed " << i;
+    }
+    for (size_t i = 0; i < good.size(); ++i) {
+        TenantId t = healthyTenants[i];
+        ResidentKeys ref = materializeDirect(t);
+        LweCiphertext out = good[i].get();
+        LweCiphertext expect =
+            boot->pbs(healthy[i], ref.signTv, ref.bsk, ref.ksk);
+        EXPECT_EQ(out.b, expect.b) << "healthy " << i;
+        EXPECT_EQ(out.a, expect.a) << "healthy " << i;
+    }
+    EXPECT_EQ(server.stats().requests, good.size());
+    EXPECT_FALSE(store.resident(1)); // refused before any key fault
+
+    // The server keeps serving after the burst.
+    EXPECT_TRUE(decryptBit(0, server.submit(0, encryptBit(0, true)).get()));
+    EXPECT_EQ(server.stats().requests, good.size() + 1);
 }
 
 TEST_F(MultiTenantFixture, MaterializationLandsOnHomeShardOnly)

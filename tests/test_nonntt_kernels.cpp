@@ -22,7 +22,6 @@
 #include "backend/command_stream.h"
 #include "backend/registry.h"
 #include "backend/sim_backend.h"
-#include "backend/simd_backend.h"
 #include "backend/thread_pool_backend.h"
 #include "common/primes.h"
 #include "common/rng.h"
@@ -113,7 +112,7 @@ naiveAutomorphism(const std::vector<u64> &src, u64 g, const Modulus &mod)
 TEST(NonNttKernels, AutomorphismMatchesNaiveMapAllLevels)
 {
     for (simd::Level level : availableLevels()) {
-        SimdBackend engine(level);
+        ThreadPoolBackend engine(1, level);
         for (size_t n :
              {size_t(4), size_t(8), size_t(37), size_t(129),
               size_t(1024)}) {
@@ -238,8 +237,8 @@ TEST(NonNttKernels, BaseConvertMatchesNaiveU128AllLevels)
                 }
             };
             for (simd::Level level : availableLevels()) {
-                SimdBackend engine(level);
-                check(engine, "simd");
+                ThreadPoolBackend engine(1, level);
+                check(engine, simd::levelName(level));
             }
             ThreadPoolBackend pool(4);
             check(pool, "threads");
@@ -302,7 +301,7 @@ TEST(NonNttKernels, PhasedStreamMatchesMonolithicAcrossEngines)
             activeBackend().scalarMulBatch(&job, 1);
         }
     }
-    for (const char *engine : {"serial", "threads", "simd", "sim"}) {
+    for (const char *engine : {"serial", "threads", "sim"}) {
         for (bool phased : {false, true}) {
             activateEngine(engine);
             std::vector<std::vector<u64>> y(

@@ -361,7 +361,7 @@ TEST(ObsTrace, ValidJsonOnEveryEngine)
 {
     for (const std::string &engine :
          {std::string("serial"), std::string("threads"),
-          std::string("simd"), std::string("sim")}) {
+          std::string("sim")}) {
         std::string path = tempTracePath(engine);
         obs::enableTrace(path);
         auto backend = BackendRegistry::instance().create(engine);
@@ -382,7 +382,7 @@ TEST(ObsTrace, ValidJsonOnEveryEngine)
 TEST(ObsTrace, PipelinedWorkersEmitJobSpans)
 {
     // A directly constructed pool guarantees workers (the registry
-    // engine collapses to the coalescing fallback on 1-core hosts)
+    // engine falls back to the eager stream on 1-core hosts)
     // and overrideStreams pins the pipelined executor even when the
     // suite runs under TRINITY_STREAMS=off.
     overrideStreams(1);

@@ -4,8 +4,9 @@
  * automorphisms, oblivious query expansion (exact one-hot for random
  * indices), RLWE->GSW conversion, CMux-tree-vs-direct-index
  * equivalence, the end-to-end answer/decode path on every engine
- * (bit-identical serial vs threads vs simd vs sim), and the
- * weight-accounted database residency cache.
+ * (bit-identical serial vs threads vs sim), the weight-accounted
+ * database residency cache, and malformed queries refused at submit
+ * (one case per check, plus a seeded fuzz over every check).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 
 #include "backend/registry.h"
 #include "backend/thread_pool_backend.h"
+#include "common/primes.h"
+#include "common/rng.h"
 #include "pir/database.h"
 #include "pir/pir.h"
 #include "runtime/pir_server.h"
@@ -26,12 +29,11 @@ namespace trinity {
 namespace pir {
 namespace {
 
-/** Engines every test host can run ("simd" resolves to the best
- *  compiled-in level, scalar at worst). */
+/** Engines every test host can run. */
 std::vector<std::string>
 engines()
 {
-    return {"serial", "threads", "simd", "sim"};
+    return {"serial", "threads", "sim"};
 }
 
 /** Activate an engine; "threads" gets an explicit 4-worker pool so
@@ -379,6 +381,103 @@ TEST(PirServerTest, MalformedQueryIsRejectedAtSubmit)
     EXPECT_EQ(client.decode(server.submit(0, client.makeQuery(index)).get()),
               db.record(index));
     EXPECT_EQ(server.stats().requests, 1u);
+}
+
+TEST(PirServerTest, SeededSubmitFuzzFailsOnlyMalformed)
+{
+    SerialGuard guard;
+    PirParams pp = PirParams::testTiny();
+    const TfheParams &p = pp.tfhe;
+    PirClient client(pp, 91);
+    PirQueryKeys keys = client.makeQueryKeys();
+    PirDatabase db = PirDatabase::random(pp, 92);
+    PirDbStore store(
+        client.ctx(),
+        [&](PirTenantId) -> const PirDatabase & { return db; }, 0,
+        "pir_server_fuzz_store");
+    runtime::ServerOptions opts;
+    opts.label = "pir_server_fuzz";
+    opts.maxBatch = 16;
+    opts.maxWaitUs = 20000;
+    runtime::PirServer server(
+        client.sharedCtx(), pp, store,
+        [&](PirTenantId) -> const PirQueryKeys & { return keys; },
+        opts);
+    std::vector<u64> primes = findNttPrimes(40, 2 * p.bigN, 2);
+    u64 otherQ = primes[0] != p.q ? primes[0] : primes[1];
+
+    // Each malformed query is a healthy tenant-1 query with exactly one
+    // mutation; every sixteenth submit is a healthy query of tenant 0
+    // or 2.
+    constexpr size_t kMalformed = 64;
+    constexpr size_t kKinds = 5;
+    Rng rng(0xf1a2);
+    std::vector<PirTenantId> healthyTenants;
+    std::vector<PirQuery> healthy;
+    std::vector<std::future<PirResponse>> good;
+    std::vector<std::future<PirResponse>> bad;
+    PirQuery base = client.makeQuery(3);
+    for (size_t i = 0; i < kMalformed; ++i) {
+        if (i % 16 == 0) {
+            PirTenantId t = healthy.size() % 2 == 0 ? 0 : 2;
+            healthyTenants.push_back(t);
+            healthy.push_back(
+                client.makeQuery(rng.uniform(pp.records())));
+            good.push_back(server.submit(t, healthy.back()));
+        }
+        PirQuery q = base;
+        // The polynomial a single-poly mutation hits: b or a mask poly.
+        auto pickPoly = [&]() -> Poly & {
+            size_t which = rng.uniform(p.k + 1);
+            return which == p.k ? q.ct.b : q.ct.a[which];
+        };
+        switch (i % kKinds) {
+        case 0: // k-1 or k+1 mask polynomials
+            if (rng.uniform(2) == 0) {
+                q.ct.a.pop_back();
+            } else {
+                q.ct.a.push_back(q.ct.b);
+            }
+            break;
+        case 1: { // N/2 or N+1 coefficients
+            size_t sizes[] = {p.bigN / 2, p.bigN + 1};
+            pickPoly().coeffs().resize(sizes[rng.uniform(2)]);
+            break;
+        }
+        case 2: // another modulus
+            pickPoly() = Poly(p.bigN, otherQ);
+            break;
+        case 3: // the Eval domain
+            pickPoly().setDomain(Domain::Eval);
+            break;
+        case 4: // one coefficient outside [0, q)
+            pickPoly().coeffs()[rng.uniform(p.bigN)] =
+                p.q + rng.next() % (0 - p.q); // in [q, 2^64)
+            break;
+        }
+        bad.push_back(server.submit(1, q));
+    }
+    ASSERT_GE(healthy.size(), 4u);
+
+    for (size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(bad[i].get(), runtime::InvalidRequest)
+            << "malformed " << i;
+    }
+    PirEngine direct(client.sharedCtx(), pp);
+    ResidentPirDb resident = materializePirDb(client.ctx(), db);
+    for (size_t i = 0; i < good.size(); ++i) {
+        EXPECT_TRUE(good[i].get() ==
+                    direct.answer(resident, keys, healthy[i]))
+            << "healthy " << i;
+    }
+    EXPECT_EQ(server.stats().requests, good.size());
+    EXPECT_FALSE(store.resident(1)); // refused before any db fault
+
+    // The server keeps serving after the burst.
+    size_t index = 6;
+    EXPECT_EQ(client.decode(server.submit(0, client.makeQuery(index)).get()),
+              db.record(index));
+    EXPECT_EQ(server.stats().requests, good.size() + 1);
 }
 
 } // namespace

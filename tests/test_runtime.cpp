@@ -2,7 +2,7 @@
  * @file
  * Serving-runtime tests: bit-exactness of the batched PBS pipeline
  * against sequential bootstrapping (on whatever engine TRINITY_BACKEND
- * selects — CI sweeps serial/threads/simd/sim), mixed test vectors in
+ * selects — CI sweeps serial/threads/sim), mixed test vectors in
  * one batch, queue aggregation under concurrent submitters, the
  * batch-size/deadline policy, the serving core's per-group failure
  * isolation, and the backend batch-sizing hints.
@@ -302,7 +302,7 @@ TEST(ServingCore, ExecutorExceptionFailsOnlyItsGroup)
 TEST(RuntimeOptions, EnginesReportPositiveBatchHints)
 {
     auto &reg = BackendRegistry::instance();
-    for (const char *name : {"serial", "threads", "simd"}) {
+    for (const char *name : {"serial", "threads"}) {
         auto engine = reg.create(name);
         EXPECT_GE(engine->preferredBatch(), engine->threadCount())
             << name;

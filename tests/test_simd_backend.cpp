@@ -1,8 +1,9 @@
 /**
  * @file
- * SIMD-engine tests: the "simd" backend (and the thread pool that
- * composes its kernels) must be bit-identical to the serial reference
- * at every dispatch level the host can run — over every limb-modulus
+ * SIMD-kernel tests: the thread pool at one thread pinned to each
+ * dispatch level (and at several threads, composing the same kernels)
+ * must be bit-identical to the serial reference at every dispatch
+ * level the host can run — over every limb-modulus
  * width the repo supports, on spans that are not a multiple of the
  * lane width, through the full CKKS pipeline and the TFHE batched
  * PBS — and the TRINITY_SIMD_LEVEL knob must be strict: unknown or
@@ -11,14 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "backend/registry.h"
 #include "backend/serial_backend.h"
-#include "backend/simd_backend.h"
 #include "backend/thread_pool_backend.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
@@ -44,13 +43,14 @@ availableLevels()
     return out;
 }
 
-/** Run fn with a pinned-level SimdBackend active, then restore serial. */
+/** Run fn with a one-thread pool pinned to @p level active, then
+ *  restore serial. */
 template <typename Fn>
 void
 withSimd(simd::Level level, Fn &&fn)
 {
     BackendRegistry::instance().use(
-        std::make_unique<SimdBackend>(level));
+        std::make_unique<ThreadPoolBackend>(1, level));
     fn();
     BackendRegistry::instance().select("serial");
 }
@@ -62,20 +62,6 @@ randomSpan(size_t n, u64 q, u64 seed)
     return rng.uniformVec(n, q);
 }
 
-TEST(SimdRegistry, SimdEngineIsRegisteredAndListed)
-{
-    auto &reg = BackendRegistry::instance();
-    auto names = reg.names();
-    EXPECT_NE(std::find(names.begin(), names.end(), "simd"),
-              names.end());
-    // The unknown-engine error and the explorer banner both print
-    // listEngines(); the new engine must be advertised there.
-    EXPECT_NE(reg.listEngines().find("simd"), std::string::npos);
-    auto engine = reg.create("simd");
-    EXPECT_STREQ(engine->name(), "simd");
-    EXPECT_GE(engine->preferredBatch(), engine->threadCount());
-}
-
 TEST(SimdRegistry, DispatchPicksBestAvailableLevel)
 {
     // CI exports TRINITY_SIMD_LEVEL to pin levels; drop it here so
@@ -83,10 +69,7 @@ TEST(SimdRegistry, DispatchPicksBestAvailableLevel)
     const char *saved = std::getenv("TRINITY_SIMD_LEVEL");
     std::string saved_val = saved != nullptr ? saved : "";
     unsetenv("TRINITY_SIMD_LEVEL");
-    SimdBackend engine;
-    EXPECT_EQ(engine.level(), simd::bestAvailableLevel());
-    EXPECT_EQ(engine.lanes(),
-              simd::kernelsForLevel(engine.level()).lanes);
+    EXPECT_EQ(simd::resolveLevel(), simd::bestAvailableLevel());
     if (saved != nullptr) {
         setenv("TRINITY_SIMD_LEVEL", saved_val.c_str(), 1);
     }
@@ -181,7 +164,7 @@ TEST(SimdEquivalence, EltwiseNonLaneMultipleTails)
                     return out;
                 };
                 auto serial = reg.create("serial");
-                SimdBackend simd_engine(level);
+                ThreadPoolBackend simd_engine(1, level);
                 auto expect = run(*serial);
                 auto got = run(simd_engine);
                 EXPECT_EQ(expect, got)
@@ -204,7 +187,7 @@ TEST(SimdEquivalence, AliasedDstMatchesSerial)
         EltwiseJob js{a.data(), a.data(), b.data(), &mod, a.size()};
         BackendRegistry::instance().create("serial")->pointwiseMulBatch(
             &js, 1);
-        SimdBackend engine(level);
+        ThreadPoolBackend engine(1, level);
         EltwiseJob jv{a2.data(), a2.data(), b.data(), &mod, a2.size()};
         engine.pointwiseMulBatch(&jv, 1);
         EXPECT_EQ(a, a2) << simd::levelName(level);
@@ -291,9 +274,10 @@ TEST(SimdEquivalence, ThreadPoolComposesSimdKernels)
 TEST(SimdDispatch, WiderLanesWidenTheBatchHint)
 {
     for (simd::Level level : availableLevels()) {
-        SimdBackend engine(level);
+        ThreadPoolBackend engine(1, level);
         EXPECT_GE(engine.preferredBatch(), 8u);
-        EXPECT_GE(engine.preferredBatch(), 4 * engine.lanes());
+        EXPECT_GE(engine.preferredBatch(),
+                  4 * simd::kernelsForLevel(level).lanes);
     }
 }
 
@@ -303,8 +287,7 @@ TEST(SimdDispatch, LevelRoundTripsThroughEnv)
     std::string saved_val = saved != nullptr ? saved : "";
     for (simd::Level level : availableLevels()) {
         setenv("TRINITY_SIMD_LEVEL", simd::levelName(level), 1);
-        SimdBackend engine;
-        EXPECT_EQ(engine.level(), level);
+        EXPECT_EQ(simd::resolveLevel(), level);
     }
     if (saved != nullptr) {
         setenv("TRINITY_SIMD_LEVEL", saved_val.c_str(), 1);
@@ -320,7 +303,7 @@ TEST(SimdDispatch, UnknownLevelIsFatal)
     EXPECT_EXIT(
         {
             setenv("TRINITY_SIMD_LEVEL", "turbo", 1);
-            BackendRegistry::instance().create("simd");
+            BackendRegistry::instance().create("threads");
         },
         ::testing::ExitedWithCode(1), "TRINITY_SIMD_LEVEL");
 }
@@ -331,7 +314,7 @@ TEST(SimdDispatch, EmptyLevelIsFatal)
     EXPECT_EXIT(
         {
             setenv("TRINITY_SIMD_LEVEL", "", 1);
-            BackendRegistry::instance().create("simd");
+            BackendRegistry::instance().create("threads");
         },
         ::testing::ExitedWithCode(1), "expected one of");
 }
@@ -345,16 +328,9 @@ TEST(SimdDispatch, UnavailableLevelIsFatalNotSilent)
     EXPECT_EXIT(
         {
             setenv("TRINITY_SIMD_LEVEL", "avx512", 1);
-            BackendRegistry::instance().create("simd");
+            BackendRegistry::instance().create("threads");
         },
         ::testing::ExitedWithCode(1), "TRINITY_SIMD_LEVEL=avx512");
-}
-
-TEST(SimdDispatch, UnknownBackendErrorListsSimd)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_EXIT(BackendRegistry::instance().create("warp-drive"),
-                ::testing::ExitedWithCode(1), "simd");
 }
 #endif
 
