@@ -19,9 +19,10 @@
  *     server's executor in one call: one key set per fused PBS batch,
  *     one pinned database per PIR group.
  *  4. Execution. The executor runs on the worker thread, outside the
- *     server lock. An exception from it (a failed key fault, a failed
- *     answer) resolves that group's futures with the exception; the
- *     worker goes on with the next group.
+ *     server lock. An exception from it (a failed key fault such as
+ *     InvalidKeyMaterial, a failed answer) resolves that group's
+ *     futures with the exception; the worker goes on with the next
+ *     group.
  *  5. Account before resolve: a client that has seen its future
  *     resolve also sees its request in stats().
  *
@@ -93,6 +94,14 @@ class DeadlineExceeded : public RequestRejected
 /** The request does not fit the server: a malformed ciphertext or
  *  query (refused at submit time), or a tenant it has no keys for. */
 class InvalidRequest : public RequestRejected
+{
+    using RequestRejected::RequestRejected;
+};
+
+/** A tenant's key material does not fit the server's parameter set:
+ *  refused when a resident store materializes it, which fails that
+ *  tenant's group and no other. */
+class InvalidKeyMaterial : public RequestRejected
 {
     using RequestRejected::RequestRejected;
 };

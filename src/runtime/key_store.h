@@ -20,6 +20,12 @@
  * the <label>.* metrics — is runtime::ResidentCache's
  * (resident_cache.h); this store adds the materialize step and the
  * byte sizing.
+ *
+ * Key material comes from outside the server, so materialization
+ * checks it against the parameter set before any PBS reads it, and
+ * refuses a mismatch with InvalidKeyMaterial. The cache drops the
+ * failed entry, so only that tenant's group fails; the next acquire
+ * checks again.
  */
 
 #ifndef TRINITY_RUNTIME_KEY_STORE_H
@@ -27,6 +33,7 @@
 
 #include <functional>
 
+#include "runtime/batching_server.h"
 #include "runtime/resident_cache.h"
 #include "tfhe/pbs.h"
 
@@ -66,6 +73,15 @@ struct ResidentKeys
     size_t bytes = 0; ///< weight charged against the store budget
 };
 
+/** Whether every value of @p v is below @p q. */
+bool allReduced(const std::vector<u64> &v, u64 q);
+
+/** Whether @p tv is a test vector PBS can run under @p p: a
+ *  coefficient-domain polynomial mod q of N coefficients, each below
+ *  q. PbsServer checks a caller's LUT with it at submit, KeyStore a
+ *  tenant's sign LUT at materialization. */
+bool isTestVector(const Poly &tv, const TfheParams &p);
+
 /** Weight-accounted LRU cache of materialized tenant keys. */
 class KeyStore final : public ResidentCache<TenantId, ResidentKeys>
 {
@@ -96,6 +112,8 @@ class KeyStore final : public ResidentCache<TenantId, ResidentKeys>
     static size_t residentBytesFor(const TfheParams &p);
 
   private:
+    /** Checks the provider's material (throwing InvalidKeyMaterial on
+     *  any mismatch), then copies it and moves the bsk to NTT form. */
     std::shared_ptr<const ResidentKeys> materialize(TenantId tenant) override;
 
     const TfheContext &ctx_;

@@ -71,20 +71,13 @@ PbsServer::submit(TenantId t, LweCiphertext ct, const Poly &tv)
 std::future<LweCiphertext>
 PbsServer::enqueue(TenantId t, LweCiphertext ct, const Poly *tv)
 {
-    auto reduced = [&](const std::vector<u64> &v) {
-        return std::all_of(v.begin(), v.end(),
-                           [&](u64 x) { return x < params_.q; });
-    };
     std::string bad;
     if (ct.a.size() != params_.nLwe) {
         bad = "LWE dimension " + std::to_string(ct.a.size()) +
               ", parameter set has n_lwe=" + std::to_string(params_.nLwe);
-    } else if (ct.b >= params_.q || !reduced(ct.a)) {
+    } else if (ct.b >= params_.q || !allReduced(ct.a, params_.q)) {
         bad = "ciphertext coefficient not reduced mod q";
-    } else if (tv != nullptr && (tv->coeffs().size() != params_.bigN ||
-                                 tv->q() != params_.q ||
-                                 tv->domain() != Domain::Coeff ||
-                                 !reduced(tv->coeffs()))) {
+    } else if (tv != nullptr && !isTestVector(*tv, params_)) {
         bad = "LUT is not a coefficient-domain polynomial of N=" +
               std::to_string(params_.bigN) + " coefficients reduced mod q";
     }

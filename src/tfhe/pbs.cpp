@@ -11,6 +11,17 @@ namespace trinity {
 TfheBootstrapper::TfheBootstrapper(std::shared_ptr<TfheContext> ctx)
     : ctx_(std::move(ctx))
 {
+    // keySwitchInto sums k*N*lk products d * row, |d| <= B/2 and
+    // row <= q-1, in one i64 per output coefficient before reducing.
+    const TfheParams &p = ctx_->params();
+    const Gadget &ks = ctx_->ksGadget();
+    u128 per_term = (u128(1) << (ks.logBase() - 1)) * (p.q - 1);
+    u128 terms = u128(p.k) * p.bigN * ks.levels();
+    trinity_assert(terms <= ((u128(1) << 63) - 1) / per_term,
+                   "%s: LWE keyswitch bound (B/2)*(q-1)*k*N*lk >= 2^63 "
+                   "(logBks=%u, lk=%u, q=%llu)",
+                   p.name.c_str(), ks.logBase(), ks.levels(),
+                   (unsigned long long)p.q);
 }
 
 TfheBootstrapKey
@@ -131,33 +142,44 @@ TfheBootstrapper::keySwitchInto(const LweCiphertext &wide,
     const Modulus &m = ctx_->modulus();
     const Gadget &ks = ctx_->ksGadget();
     u32 lk = ks.levels();
+    size_t n = p.nLwe;
     trinity_assert(wide.a.size() == ksk.rows.size() &&
                        (ksk.rows.empty() || ksk.rows[0].size() == lk),
                    "ksk dimension mismatch");
-    out.a.assign(p.nLwe, 0);
-    out.b = wide.b;
-    // c'' = (0,...,0,b') - sum_i sum_j d_ij * ksk[i][j]
+    // c'' = (0,...,0,b') - sum_i sum_j d_ij * ksk[i][j]. The signed
+    // digits times the rows sum exactly in i64 (sum[n] is the body);
+    // the constructor's bound keeps |sum| < 2^63, so one reduction per
+    // coefficient gives the residue a per-term chain would. Pool
+    // workers run this concurrently: the sum is per call.
+    std::vector<i64> sum(n + 1, 0);
+    i64 *acc = sum.data();
+    i64 digits[64]; // levels <= 64, asserted by Gadget
     u64 mac_lanes = 0;
-    std::vector<i64> digits(lk);
     for (size_t i = 0; i < wide.a.size(); ++i) {
         u64 x = wide.a[i];
         if (x == 0) {
             continue;
         }
-        ks.decompose(x, digits.data());
+        ks.decompose(x, digits);
         for (u32 j = 0; j < lk; ++j) {
-            if (digits[j] == 0) {
+            i64 d = digits[j];
+            if (d == 0) {
                 continue;
             }
-            u64 d = toResidue(digits[j], p.q);
             const LweCiphertext &row = ksk.rows[i][j];
-            for (size_t t = 0; t < p.nLwe; ++t) {
-                out.a[t] = m.sub(out.a[t], m.mul(d, row.a[t]));
+            const u64 *ra = row.a.data();
+            for (size_t t = 0; t < n; ++t) {
+                acc[t] += d * static_cast<i64>(ra[t]);
             }
-            out.b = m.sub(out.b, m.mul(d, row.b));
-            mac_lanes += p.nLwe + 1;
+            acc[n] += d * static_cast<i64>(row.b);
+            mac_lanes += n + 1;
         }
     }
+    out.a.resize(n);
+    for (size_t t = 0; t < n; ++t) {
+        out.a[t] = m.neg(toResidue(acc[t], p.q));
+    }
+    out.b = m.sub(wide.b, toResidue(acc[n], p.q));
     return mac_lanes;
 }
 

@@ -21,7 +21,8 @@ struct TfheBootstrapKey
 };
 
 /** KeySwitch key: kN x lk LWE encryptions of s_glwe[i] * gks_j,
- *  gks being the context's ksGadget(). */
+ *  gks being the context's ksGadget(). Every coefficient is below q;
+ *  the keyswitch's i64 bound depends on it. */
 struct TfheKeySwitchKey
 {
     std::vector<std::vector<LweCiphertext>> rows;
@@ -31,6 +32,11 @@ struct TfheKeySwitchKey
 class TfheBootstrapper
 {
   public:
+    /** Fatal unless (B/2)(q-1)*k*N*lk < 2^63 for the keyswitch
+     *  gadget's base B: the bound that keeps keySwitch's unreduced
+     *  i64 sums exact. Every TFHE set meets it with room to spare
+     *  (2^48.3 at Set-III); PIR's 60-bit ring does not, and PIR
+     *  builds no bootstrapper. */
     explicit TfheBootstrapper(std::shared_ptr<TfheContext> ctx);
 
     /** bsk: GGSW encryptions of each LWE key bit under the GLWE key.
@@ -61,7 +67,9 @@ class TfheBootstrapper
     LweCiphertext sampleExtract(const GlweCiphertext &acc,
                                 size_t idx) const;
 
-    /** TFHE KeySwitch (Algorithm 2 lines 16-17). */
+    /** TFHE KeySwitch (Algorithm 2 lines 16-17): sums the signed
+     *  digits times the ksk rows in i64 and reduces once per output
+     *  coefficient. */
     LweCiphertext keySwitch(const LweCiphertext &wide,
                             const TfheKeySwitchKey &ksk) const;
 

@@ -6,11 +6,13 @@
  * (deadlineUs -> DeadlineExceeded) policies with deterministic
  * counts, consistent key-affine shard routing, materialization
  * landing only on a tenant's home shard, destructor drain of the
- * sharded fleet, and malformed requests refused at submit (one case
- * per check, plus a seeded fuzz over every check).
+ * sharded fleet, malformed requests refused at submit (one case
+ * per check, plus a seeded fuzz over every check), and malformed
+ * tenant key material refused at materialization.
  */
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -26,6 +28,7 @@ namespace {
 
 using runtime::AdmissionRejected;
 using runtime::DeadlineExceeded;
+using runtime::InvalidKeyMaterial;
 using runtime::InvalidRequest;
 using runtime::KeyStore;
 using runtime::PbsServer;
@@ -392,6 +395,75 @@ TEST_F(MultiTenantFixture, SeededSubmitFuzzFailsOnlyMalformed)
     // The server keeps serving after the burst.
     EXPECT_TRUE(decryptBit(0, server.submit(0, encryptBit(0, true)).get()));
     EXPECT_EQ(server.stats().requests, good.size() + 1);
+}
+
+TEST_F(MultiTenantFixture, MalformedKeyMaterialFailsOnlyItsTenant)
+{
+    const TfheParams &p = ctx->params();
+    const TenantKeyMaterial healthy1 = tenants[1];
+    // Unchecked, the first case reads past a ksk row, the second sums
+    // a coefficient the keyswitch bound excludes, and the missing-row
+    // and missing-GGSW cases abort on PBS's dimension asserts.
+    const std::vector<
+        std::pair<const char *, std::function<void(TenantKeyMaterial &)>>>
+        cases = {
+            {"short ksk row",
+             [](TenantKeyMaterial &m) { m.ksk.rows[7][2].a.pop_back(); }},
+            {"ksk row missing",
+             [](TenantKeyMaterial &m) { m.ksk.rows.pop_back(); }},
+            {"ksk row of lk-1 levels",
+             [](TenantKeyMaterial &m) { m.ksk.rows[3].pop_back(); }},
+            {"ksk coefficient equal to q",
+             [&](TenantKeyMaterial &m) { m.ksk.rows[5][1].a[9] = p.q; }},
+            {"one GGSW too few",
+             [](TenantKeyMaterial &m) { m.bskStored.bsk.pop_back(); }},
+            {"bsk coefficient equal to q",
+             [&](TenantKeyMaterial &m) {
+                 m.bskStored.bsk[4].rows[1].b.coeffs()[17] = p.q;
+             }},
+            {"short sign LUT",
+             [](TenantKeyMaterial &m) { m.signTv.coeffs().pop_back(); }},
+        };
+    for (const auto &[name, mutate] : cases) {
+        tenants[1] = healthy1;
+        mutate(tenants[1]);
+        KeyStore store(*ctx, provider(), 0, "keystore.test.badkeys");
+        ServerOptions opts;
+        opts.maxBatch = 16;
+        opts.maxWaitUs = 20000; // one window sees the whole burst
+        opts.label = "pbs_server.test.badkeys";
+        PbsServer server(ctx, store, opts);
+        std::vector<LweCiphertext> healthy;
+        std::vector<std::future<LweCiphertext>> good;
+        std::vector<std::future<LweCiphertext>> bad;
+        for (size_t i = 0; i < 3; ++i) {
+            healthy.push_back(encryptBit(0, i % 2 == 0));
+            good.push_back(server.submit(0, healthy[i]));
+            bad.push_back(server.submit(1, encryptBit(1, i % 2 == 0)));
+        }
+        for (auto &f : bad) {
+            EXPECT_THROW(f.get(), InvalidKeyMaterial) << name;
+        }
+        ResidentKeys ref = materializeDirect(0);
+        for (size_t i = 0; i < good.size(); ++i) {
+            LweCiphertext out = good[i].get();
+            LweCiphertext expect =
+                boot->pbs(healthy[i], ref.signTv, ref.bsk, ref.ksk);
+            EXPECT_EQ(out.b, expect.b) << name << " request " << i;
+            EXPECT_EQ(out.a, expect.a) << name << " request " << i;
+        }
+        EXPECT_FALSE(store.resident(1)) << name;
+        // A later group of the tenant is checked again, and fails
+        // again; tenant 0 goes on being served.
+        EXPECT_THROW(server.submit(1, encryptBit(1, true)).get(),
+                     InvalidKeyMaterial)
+            << name;
+        EXPECT_TRUE(
+            decryptBit(0, server.submit(0, encryptBit(0, true)).get()))
+            << name;
+        EXPECT_EQ(server.stats().requests, good.size() + 1) << name;
+    }
+    tenants[1] = healthy1;
 }
 
 TEST_F(MultiTenantFixture, MaterializationLandsOnHomeShardOnly)

@@ -1,15 +1,21 @@
 /**
  * @file
  * TFHE tests: LWE/GLWE/GGSW encryption, gadget decomposition,
- * external product, CMux, blind rotation, sample extract, keyswitch,
- * full PBS (Algorithm 2), and the boolean gate layer.
+ * external product, CMux, blind rotation, sample extract, keyswitch
+ * (and the lazy keyswitch against its per-term oracle on every
+ * engine), full PBS (Algorithm 2), and the boolean gate layer.
  */
 
+#include <atomic>
 #include <cmath>
+#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "backend/observer.h"
+#include "backend/registry.h"
+#include "backend/thread_pool_backend.h"
 #include "common/primes.h"
 #include "pir/params.h"
 #include "tfhe/gates.h"
@@ -360,6 +366,191 @@ TEST_F(PbsFixture, PbsProgrammableLut)
     i64 ph2 = centeredRep(ctx->lwePhase(out2, lwe_sk), p.q);
     EXPECT_NEAR(static_cast<double>(ph2),
                 static_cast<double>(marker2), 1 << 21);
+}
+
+/** The lazy keyswitch's oracle: one reduced multiply and subtract per
+ *  digit and coefficient. Adds the MAC lanes it ran to @p mac_lanes,
+ *  the tally LweKs events carry. */
+LweCiphertext
+perTermKeySwitch(const TfheContext &ctx, const LweCiphertext &wide,
+                 const TfheKeySwitchKey &ksk, u64 &mac_lanes)
+{
+    const auto &p = ctx.params();
+    const Modulus &m = ctx.modulus();
+    const Gadget &ks = ctx.ksGadget();
+    u32 lk = ks.levels();
+    LweCiphertext out;
+    out.a.assign(p.nLwe, 0);
+    out.b = wide.b;
+    std::vector<i64> digits(lk);
+    for (size_t i = 0; i < wide.a.size(); ++i) {
+        u64 x = wide.a[i];
+        if (x == 0) {
+            continue;
+        }
+        ks.decompose(x, digits.data());
+        for (u32 j = 0; j < lk; ++j) {
+            if (digits[j] == 0) {
+                continue;
+            }
+            u64 d = toResidue(digits[j], p.q);
+            const LweCiphertext &row = ksk.rows[i][j];
+            for (size_t t = 0; t < p.nLwe; ++t) {
+                out.a[t] = m.sub(out.a[t], m.mul(d, row.a[t]));
+            }
+            out.b = m.sub(out.b, m.mul(d, row.b));
+            mac_lanes += p.nLwe + 1;
+        }
+    }
+    return out;
+}
+
+/** Sums the MAC lanes of LweKs kernel events. */
+struct LweKsLanes final : BackendObserver
+{
+    void
+    onKernel(const KernelEvent &ev) override
+    {
+        if (ev.type == sim::KernelType::LweKs) {
+            lanes += ev.elements;
+        }
+    }
+
+    std::atomic<u64> lanes{0};
+};
+
+/**
+ * keySwitch and keySwitchBatch against the per-term oracle, bit for
+ * bit, at every TFHE set on every engine (serial, threads, a one-thread
+ * pool, sim), with the same MAC-lane tally: random wide ciphertexts
+ * under a random ksk, and the i64 sum at its extreme, every ksk
+ * coefficient q-1 and every digit -B/2.
+ */
+TEST(LazyKeySwitch, MatchesPerTermOracleOnEveryEngine)
+{
+    BackendRegistry &reg = BackendRegistry::instance();
+    const std::string before = activeBackend().name();
+    const std::vector<std::pair<const char *, std::function<void()>>>
+        engines = {
+            {"serial", [&] { reg.select("serial"); }},
+            {"threads", [&] { reg.select("threads"); }},
+            {"threads-1",
+             [&] { reg.use(std::make_unique<ThreadPoolBackend>(1)); }},
+            {"sim", [&] { reg.select("sim"); }},
+        };
+    for (const TfheParams &p :
+         {TfheParams::setI(), TfheParams::setII(), TfheParams::setIII(),
+          TfheParams::testTiny()}) {
+        auto ctx = std::make_shared<TfheContext>(p, 95);
+        TfheBootstrapper boot(ctx);
+        const Gadget &ks = ctx->ksGadget();
+        ASSERT_EQ(ks.logBase(), 4u) << p.name;
+        ASSERT_EQ(ks.levels(), 5u) << p.name;
+        Rng rng(96);
+        // The lazy sum is exact for any rows below q, so uniform rows
+        // test it as well as encryptions would, at a fraction of the
+        // cost.
+        auto makeKsk = [&](bool extreme) {
+            TfheKeySwitchKey ksk;
+            ksk.rows.assign(p.k * p.bigN,
+                            std::vector<LweCiphertext>(ks.levels()));
+            for (auto &levels : ksk.rows) {
+                for (LweCiphertext &ct : levels) {
+                    ct.a.resize(p.nLwe);
+                    for (u64 &v : ct.a) {
+                        v = extreme ? p.q - 1 : rng.uniform(p.q);
+                    }
+                    ct.b = extreme ? p.q - 1 : rng.uniform(p.q);
+                }
+            }
+            return ksk;
+        };
+        const TfheKeySwitchKey randomKsk = makeKsk(false);
+        const TfheKeySwitchKey extremeKsk = makeKsk(true);
+
+        std::vector<LweCiphertext> random(3);
+        for (LweCiphertext &ct : random) {
+            ct.a.resize(p.k * p.bigN);
+            for (u64 &v : ct.a) {
+                v = rng.uniform(p.q);
+            }
+            ct.b = rng.uniform(p.q);
+        }
+        // Balanced base-16 digits of y = 0x77778 are all -8: the
+        // lowest place is 8 -> -8 carrying 1, which makes each 7 above
+        // it 8 -> -8 again. x = round(y q / 16^5) decomposes to y.
+        u128 y = 0x77778;
+        u128 scale = u128(1) << 20;
+        u64 xAllMin = static_cast<u64>((y * p.q + scale / 2) / scale);
+        i64 digits[5];
+        ks.decompose(xAllMin, digits);
+        for (i64 d : digits) {
+            ASSERT_EQ(d, -8) << p.name;
+        }
+        std::vector<LweCiphertext> extreme(1);
+        extreme[0].a.assign(p.k * p.bigN, xAllMin);
+        extreme[0].b = p.q - 1;
+
+        u64 wantLanes = 0;
+        std::vector<LweCiphertext> wantRandom, wantExtreme;
+        for (const LweCiphertext &ct : random) {
+            wantRandom.push_back(
+                perTermKeySwitch(*ctx, ct, randomKsk, wantLanes));
+        }
+        wantExtreme.push_back(
+            perTermKeySwitch(*ctx, extreme[0], extremeKsk, wantLanes));
+
+        for (const auto &[engine, install] : engines) {
+            install();
+            LweKsLanes counter;
+            installObserver(&counter);
+            auto expectSame = [&](const std::vector<LweCiphertext> &got,
+                                  const std::vector<LweCiphertext> &want,
+                                  const char *what) {
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t j = 0; j < got.size(); ++j) {
+                    EXPECT_EQ(got[j].a, want[j].a)
+                        << p.name << " " << engine << " " << what << j;
+                    EXPECT_EQ(got[j].b, want[j].b)
+                        << p.name << " " << engine << " " << what << j;
+                }
+            };
+            std::vector<LweCiphertext> single;
+            for (const LweCiphertext &ct : random) {
+                single.push_back(boot.keySwitch(ct, randomKsk));
+            }
+            expectSame(single, wantRandom, "keySwitch random ");
+            expectSame({boot.keySwitch(extreme[0], extremeKsk)},
+                       wantExtreme, "keySwitch extreme ");
+            expectSame(boot.keySwitchBatch(random.data(), random.size(),
+                                           randomKsk),
+                       wantRandom, "keySwitchBatch random ");
+            expectSame(boot.keySwitchBatch(extreme.data(), extreme.size(),
+                                           extremeKsk),
+                       wantExtreme, "keySwitchBatch extreme ");
+            removeObserver(&counter);
+            EXPECT_EQ(counter.lanes.load(), 2 * wantLanes)
+                << p.name << " " << engine;
+        }
+    }
+    reg.select(before);
+}
+
+/** PIR's ring, q ~ 2^60 with a 15-level base-16 keyswitch gadget,
+ *  puts the lazy keyswitch's sum near 2^78: a bootstrapper over it
+ *  must refuse to build, while the context itself still builds (the
+ *  Gadget test above constructs it). */
+TEST(TfheBootstrapperDeathTest, RefusesRingPastTheKeySwitchBound)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto ctx =
+        std::make_shared<TfheContext>(pir::PirParams::standard().tfhe, 1);
+    EXPECT_DEATH(
+        {
+            TfheBootstrapper boot(ctx);
+            (void)boot;
+        },
+        "LWE keyswitch bound");
 }
 
 struct GateFixture : public ::testing::Test
