@@ -411,23 +411,37 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
         // slot's scratch region).
         Job dec = stream.task(
             comps,
-            [this, accs, j, t, &sc, n, two_n, rows, lb](size_t c) {
+            [this, accs, j, t, &sc, n, rows, lb](size_t c) {
                 const Poly &src = glweComp(accs[j], c);
                 trinity_assert(src.domain() == Domain::Coeff,
                                "blind-rotation accumulator must be in "
                                "coefficient domain");
                 const u64 *s = src.coeffs().data();
-                i64 digits[16]; // lb <= rows <= 16, asserted above
-                for (size_t x = 0; x < n; ++x) {
-                    // Negacyclic gather of (acc * X^t)[x].
-                    size_t i0 = (x + two_n - t) % two_n;
-                    u64 rot = i0 < n ? s[i0] : mod_.neg(s[i0 - n]);
-                    gadget_.decompose(mod_.sub(rot, s[x]), digits);
-                    for (u32 l = 0; l < lb; ++l) {
-                        sc.dec[j * rows + c * lb + l][x] =
-                            toResidue(digits[l], params_.q);
-                    }
+                u64 *limb[16] = {}; // lb <= rows <= 16, asserted above
+                for (u32 l = 0; l < lb; ++l) {
+                    limb[l] = sc.dec[j * rows + c * lb + l].coeffs().data();
                 }
+                // Writes diff[x] = ±from[x - x0] - s[x] for x in
+                // [x0, x1) as decomposition limbs.
+                auto gather = [&](size_t x0, size_t x1, const u64 *from,
+                                  bool negate) {
+                    i64 digits[16] = {};
+                    for (size_t x = x0; x < x1; ++x) {
+                        u64 v = from[x - x0];
+                        u64 rot = negate ? mod_.neg(v) : v;
+                        gadget_.decompose(mod_.sub(rot, s[x]), digits);
+                        for (u32 l = 0; l < lb; ++l) {
+                            limb[l][x] = gadget_.residue(digits[l]);
+                        }
+                    }
+                };
+                // Negacyclic gather: with u = t mod N, (acc * X^t)[x]
+                // is s[x + N - u] for x < u and s[x - u] for x >= u,
+                // negated on the first segment when t < N (it wrapped
+                // past X^N = -1 once) and on the second when t >= N.
+                size_t u = t < n ? t : t - n;
+                gather(0, u, s + (n - u), t < n);
+                gather(u, n, s, t >= n);
             },
             {sc.lastJob[j]},
             {{sim::KernelType::Rotate, comps * n, n, 16 * comps * n},

@@ -7,10 +7,15 @@ namespace trinity {
 Gadget::Gadget(u64 q, u32 log_b, u32 levels)
     : q_(q), log_b_(log_b), levels_(levels)
 {
+    // B/2 <= q also keeps B below 2^64 and makes residue() exact.
     trinity_assert(log_b >= 1 && levels >= 1 &&
-                       u64(log_b) * levels <= 64,
+                       u64(log_b) * levels <= 64 &&
+                       (u128(1) << (log_b - 1)) <= q,
                    "unsupported gadget shape logB=%u levels=%u", log_b,
                    levels);
+    u128 v_max = (u128(q - 1) << (log_b * levels)) + q / 2;
+    narrow_ = v_max < (u128(1) << 64);
+    recip_ = static_cast<u64>((u128(1) << 64) / q);
     // q is prime, so these are approximate gadget elements — the
     // rounding is absorbed as decomposition noise (Joye-Walter
     // "Liberating TFHE").
@@ -22,38 +27,25 @@ Gadget::Gadget(u64 q, u32 log_b, u32 levels)
 }
 
 void
-Gadget::decompose(u64 x, i64 *digits) const
+Gadget::decomposeWide(u64 x, i64 *digits) const
 {
-    u64 b = 1ULL << log_b_;
-    u64 half_b = b >> 1;
     // y = round(x * B^levels / q) in [0, B^levels]
     u128 scale = u128(1) << (log_b_ * levels_);
-    u128 y = (u128(x) * scale + q_ / 2) / q_;
-    // Balanced base-B digits, least significant last in storage
-    // order; the final carry wraps modulo B^levels (equivalent to
-    // subtracting q).
-    u64 carry = 0;
-    for (u32 l = levels_; l-- > 0;) {
-        u64 r = static_cast<u64>(y & (b - 1)) + carry;
-        y >>= log_b_;
-        if (r >= half_b) {
-            digits[l] = static_cast<i64>(r) - static_cast<i64>(b);
-            carry = 1;
-        } else {
-            digits[l] = static_cast<i64>(r);
-            carry = 0;
-        }
-    }
+    balancedDigits((u128(x) * scale + q_ / 2) / q_, digits);
 }
 
 void
 Gadget::decomposePoly(const u64 *src, size_t n, Poly *limbs) const
 {
     i64 digits[64] = {}; // levels <= 64, asserted at construction
+    u64 *dst[64] = {};
+    for (u32 l = 0; l < levels_; ++l) {
+        dst[l] = limbs[l].coeffs().data();
+    }
     for (size_t i = 0; i < n; ++i) {
         decompose(src[i], digits);
         for (u32 l = 0; l < levels_; ++l) {
-            limbs[l][i] = toResidue(digits[l], q_);
+            dst[l][i] = residue(digits[l]);
         }
     }
 }

@@ -11,6 +11,16 @@
  * decomposition is balanced base-B — y = round(x * B^levels / q),
  * balanced digits with a carry wrap.
  *
+ * The quotient y = floor(v / q), v = x * B^levels + floor(q/2), is
+ * division-free when v < 2^64 for every residue x, i.e. when
+ * (q-1) * B^levels + floor(q/2) < 2^64: both gadgets of every TFHE
+ * set (q ~ 2^32, B^levels <= 2^24) qualify. There the high word of
+ * v * floor(2^64 / q) undershoots v / q by less than 1, so it is y or
+ * y - 1, and one compare against q fixes it up. Wider shapes (PIR's
+ * q ~ 2^60 ring, B^levels up to 2^60) put v past 64 bits and keep
+ * the exact u128 division; the constructor picks the path from q and
+ * the shape.
+ *
  * gadgetMac() is the external-product inner product: decomposed limbs
  * times transform-domain rows, summed per coefficient. Blind
  * rotation, the sequential external product, the Galois keyswitch and
@@ -39,13 +49,34 @@ class Gadget
     u64 element(u32 l) const { return g_[l]; }
 
     /**
-     * Signed decomposition of a residue x into digits d_l in
+     * Signed decomposition of a residue x < q into digits d_l in
      * [-B/2, B/2) so that sum d_l * g_l ~ x. Full-width gadgets
      * (logB * levels covering all of q) leave only the per-level
      * rounding of the prime; truncated gadgets additionally carry a
      * q / B^levels approximation term.
      */
-    void decompose(u64 x, i64 *digits) const;
+    void
+    decompose(u64 x, i64 *digits) const
+    {
+        if (!narrow_) {
+            decomposeWide(x, digits);
+            return;
+        }
+        u64 v = (x << (log_b_ * levels_)) + q_ / 2;
+        u64 y = static_cast<u64>((u128(v) * recip_) >> 64);
+        if (v - y * q_ >= q_) {
+            ++y;
+        }
+        balancedDigits(y, digits);
+    }
+
+    /** d mod q for a digit of decompose(): |d| <= B/2 <= q, so d + q
+     *  for d < 0 (added under the sign mask) and d otherwise. */
+    u64
+    residue(i64 d) const
+    {
+        return static_cast<u64>(d) + (q_ & static_cast<u64>(d >> 63));
+    }
 
     /**
      * Decompose @p n coefficients of @p src into levels() residue
@@ -57,7 +88,36 @@ class Gadget
     u64 q_;
     u32 log_b_;
     u32 levels_;
+    /** (q-1) * B^levels + floor(q/2) < 2^64: decompose() divides by
+     *  multiplying with recip_ = floor(2^64 / q). */
+    bool narrow_;
+    u64 recip_;
     std::vector<u64> g_;
+
+    /** decompose() by exact u128 division, for shapes past 64 bits. */
+    void decomposeWide(u64 x, i64 *digits) const;
+
+    /** Balanced base-B digits of y in [0, B^levels], least
+     *  significant last in storage order; the final carry wraps
+     *  modulo B^levels (equivalent to subtracting q). A place value
+     *  r >= B/2 becomes r - B and carries one; the carry is computed,
+     *  not branched on, since random digits would mispredict half the
+     *  time. */
+    template <typename Y>
+    void
+    balancedDigits(Y y, i64 *digits) const
+    {
+        u64 mask = (1ULL << log_b_) - 1;
+        u64 half_b = 1ULL << (log_b_ - 1);
+        u64 carry = 0;
+        for (u32 l = levels_; l-- > 0;) {
+            u64 r = static_cast<u64>(y & mask) + carry;
+            y >>= log_b_;
+            carry = r >= half_b;
+            digits[l] = static_cast<i64>(r) -
+                        static_cast<i64>(carry << log_b_);
+        }
+    }
 };
 
 /** Most products gadgetMac() sums before one reduction. */

@@ -143,9 +143,9 @@ TfheBootstrapper::keySwitchInto(const LweCiphertext &wide,
     const Gadget &ks = ctx_->ksGadget();
     u32 lk = ks.levels();
     size_t n = p.nLwe;
-    trinity_assert(wide.a.size() == ksk.rows.size() &&
-                       (ksk.rows.empty() || ksk.rows[0].size() == lk),
-                   "ksk dimension mismatch");
+    trinity_assert(wide.a.size() == ksk.rows.size(),
+                   "ksk dimension mismatch: %zu rows for a %zu-wide LWE",
+                   ksk.rows.size(), wide.a.size());
     // c'' = (0,...,0,b') - sum_i sum_j d_ij * ksk[i][j]. The signed
     // digits times the rows sum exactly in i64 (sum[n] is the body);
     // the constructor's bound keeps |sum| < 2^63, so one reduction per
@@ -183,10 +183,34 @@ TfheBootstrapper::keySwitchInto(const LweCiphertext &wide,
     return mac_lanes;
 }
 
+void
+TfheBootstrapper::checkKeySwitchKey(const TfheKeySwitchKey &ksk) const
+{
+    const auto &p = ctx_->params();
+    u32 lk = ctx_->ksGadget().levels();
+    trinity_assert(ksk.rows.size() == p.k * p.bigN,
+                   "ksk dimension mismatch: %zu rows, want k*N = %zu",
+                   ksk.rows.size(), p.k * p.bigN);
+    for (size_t i = 0; i < ksk.rows.size(); ++i) {
+        trinity_assert(ksk.rows[i].size() == lk,
+                       "ksk dimension mismatch: row %zu holds %zu "
+                       "levels, want lk = %u",
+                       i, ksk.rows[i].size(), lk);
+        for (u32 j = 0; j < lk; ++j) {
+            trinity_assert(ksk.rows[i][j].a.size() == p.nLwe,
+                           "ksk dimension mismatch: row %zu level %u "
+                           "holds %zu mask coefficients, want n_lwe = "
+                           "%zu",
+                           i, j, ksk.rows[i][j].a.size(), p.nLwe);
+        }
+    }
+}
+
 LweCiphertext
 TfheBootstrapper::keySwitch(const LweCiphertext &wide,
                             const TfheKeySwitchKey &ksk) const
 {
+    checkKeySwitchKey(ksk);
     LweCiphertext out;
     u64 mac_lanes = keySwitchInto(wide, ksk, out);
     emitKernel(sim::KernelType::LweKs, mac_lanes,
@@ -281,6 +305,7 @@ TfheBootstrapper::keySwitchBatch(const LweCiphertext *wides, size_t count,
                                  const TfheKeySwitchKey &ksk) const
 {
     const auto &p = ctx_->params();
+    checkKeySwitchKey(ksk);
     std::vector<LweCiphertext> out(count);
     std::vector<u64> lanes(count, 0);
     activeBackend().run(count, [&](size_t j) {

@@ -125,7 +125,11 @@ class TfheBootstrapper
     /** sampleExtract math without the kernel emission. */
     void extractInto(const GlweCiphertext &acc, size_t idx,
                      LweCiphertext &out) const;
-    /** keySwitch math without the kernel emission; returns MAC lanes. */
+    /** Asserts the ksk holds k*N rows of lk LWEs of n_lwe mask
+     *  coefficients, the shape keySwitchInto reads without checks. */
+    void checkKeySwitchKey(const TfheKeySwitchKey &ksk) const;
+    /** keySwitch math without the kernel emission; returns MAC lanes.
+     *  The caller runs checkKeySwitchKey first. */
     u64 keySwitchInto(const LweCiphertext &wide,
                       const TfheKeySwitchKey &ksk,
                       LweCiphertext &out) const;

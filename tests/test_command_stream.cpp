@@ -133,13 +133,16 @@ struct Workload
 
 /** Activate an engine; "threads" gets an explicit 4-worker pool so
  *  the pipelined executor is exercised even on single-core hosts
- *  (the default constructor sizes to hardware concurrency). */
+ *  (the default constructor sizes to hardware concurrency), and
+ *  "threads-1" a one-thread pool (inline batches, eager streams). */
 void
 activateEngine(const std::string &engine)
 {
     auto &reg = BackendRegistry::instance();
     if (engine == "threads") {
         reg.use(std::make_unique<ThreadPoolBackend>(4));
+    } else if (engine == "threads-1") {
+        reg.use(std::make_unique<ThreadPoolBackend>(1));
     } else {
         reg.select(engine);
     }
@@ -285,75 +288,71 @@ TEST(CommandStream, PipelinedPbsBatchMatchesSerialBitExact)
 /** The blocking record-and-wait wrapper, called repeatedly with one
  *  shared scratch: every call opens a fresh stream, so the scratch's
  *  cached per-request job chains must rebind (stream ids, not
- *  recycled addresses) and results must match the sequential CMux. */
+ *  recycled addresses) and results must match the sequential CMux.
+ *  The rotations cover the fused gather's segment edges (1, N-1, N,
+ *  N+1, 2N-1) and an inactive slot per step, at testTiny and at
+ *  Set-I, whose lb = 2 gadget is the one PBS serving runs. */
 TEST(CommandStream, BlockingCmuxWrapperReusesScratchAcrossStreams)
 {
-    TfheGateBootstrapper gb(TfheParams::testTiny(), 4242);
-    TfheContext &ctx = gb.context();
-    const auto &p = gb.params();
-    const GgswCiphertext &g0 = gb.bootstrapKey().bsk[0];
-    const GgswCiphertext &g1 = gb.bootstrapKey().bsk[1];
-
-    auto run = [&](const std::string &engine) {
-        activateEngine(engine);
-        const TfheBootstrapper &boot = gb.bootstrapper();
-        std::vector<GlweCiphertext> accs;
-        for (size_t j = 0; j < 3; ++j) {
-            accs.push_back(ctx.glweTrivial(boot.makeTestVector(
-                [j](size_t i) { return (i * 31 + j * 7) & 0xffff; })));
-        }
-        std::vector<u64> rot1 = {1, 0, 5};    // slot 1 inactive
-        std::vector<u64> rot2 = {3, 2, 0};    // slot 2 inactive
-        CmuxBatchScratch sc;
-        ctx.cmuxRotateBatch(g0, accs.data(), rot1.data(), accs.size(),
-                            sc);
-        ctx.cmuxRotateBatch(g1, accs.data(), rot2.data(), accs.size(),
-                            sc);
-        BackendRegistry::instance().select("serial");
-        std::vector<u64> flat;
-        for (const auto &acc : accs) {
-            for (size_t c = 0; c <= p.k; ++c) {
-                const Poly &comp = c < p.k ? acc.a[c] : acc.b;
-                flat.insert(flat.end(), comp.coeffs().begin(),
-                            comp.coeffs().end());
+    for (const TfheParams &p :
+         {TfheParams::testTiny(), TfheParams::setI()}) {
+        TfheContext ctx(p, 4242);
+        GlweSecretKey sk = ctx.makeGlweKey();
+        GgswCiphertext g0 = ctx.ggswEncrypt(1, sk);
+        GgswCiphertext g1 = ctx.ggswEncrypt(0, sk);
+        ctx.ggswToEval(g0);
+        ctx.ggswToEval(g1);
+        u64 n = p.bigN;
+        const std::vector<u64> rot1 = {1, 0, n - 1, n, n + 1, 2 * n - 1, 5};
+        const std::vector<u64> rot2 = {2 * n - 1, n + 1, n, 0, n - 1, 1, 3};
+        // Uniform accumulators: every coefficient's difference, not
+        // just a test vector's few values, goes through the gadget.
+        Rng rng(4243);
+        std::vector<GlweCiphertext> init(rot1.size());
+        for (GlweCiphertext &acc : init) {
+            for (size_t c = 0; c < p.k; ++c) {
+                acc.a.push_back(Poly::uniform(n, p.q, rng));
             }
+            acc.b = Poly::uniform(n, p.q, rng);
         }
-        return flat;
-    };
-    // Sequential reference: CMux per active slot, step by step.
-    auto ref = [&] {
+        auto flatten = [&](const std::vector<GlweCiphertext> &accs) {
+            std::vector<u64> flat;
+            for (const auto &acc : accs) {
+                for (size_t c = 0; c <= p.k; ++c) {
+                    const Poly &comp = glweComp(acc, c);
+                    flat.insert(flat.end(), comp.coeffs().begin(),
+                                comp.coeffs().end());
+                }
+            }
+            return flat;
+        };
+        // Sequential reference: CMux per active slot, step by step.
         BackendRegistry::instance().select("serial");
-        const TfheBootstrapper &boot = gb.bootstrapper();
-        std::vector<GlweCiphertext> accs;
-        for (size_t j = 0; j < 3; ++j) {
-            accs.push_back(ctx.glweTrivial(boot.makeTestVector(
-                [j](size_t i) { return (i * 31 + j * 7) & 0xffff; })));
-        }
-        auto step = [&](const GgswCiphertext &g,
-                        const std::vector<u64> &rots) {
-            for (size_t j = 0; j < accs.size(); ++j) {
-                if (rots[j] % (2 * p.bigN) == 0) {
+        std::vector<GlweCiphertext> want = init;
+        for (const auto &[g, rots] :
+             {std::pair{&g0, &rot1}, std::pair{&g1, &rot2}}) {
+            for (size_t j = 0; j < want.size(); ++j) {
+                if ((*rots)[j] % (2 * n) == 0) {
                     continue;
                 }
                 GlweCiphertext rotated =
-                    ctx.glweMulMonomial(accs[j], rots[j]);
-                accs[j] = ctx.cmux(g, accs[j], rotated);
-            }
-        };
-        step(g0, {1, 0, 5});
-        step(g1, {3, 2, 0});
-        std::vector<u64> flat;
-        for (const auto &acc : accs) {
-            for (size_t c = 0; c <= p.k; ++c) {
-                const Poly &comp = c < p.k ? acc.a[c] : acc.b;
-                flat.insert(flat.end(), comp.coeffs().begin(),
-                            comp.coeffs().end());
+                    ctx.glweMulMonomial(want[j], (*rots)[j]);
+                want[j] = ctx.cmux(*g, want[j], rotated);
             }
         }
-        return flat;
-    }();
-    for (const char *engine : {"serial", "threads", "sim"}) {
-        EXPECT_EQ(run(engine), ref) << engine;
+        const std::vector<u64> ref = flatten(want);
+
+        for (const char *engine : {"serial", "threads", "threads-1", "sim"}) {
+            activateEngine(engine);
+            std::vector<GlweCiphertext> accs = init;
+            CmuxBatchScratch sc;
+            ctx.cmuxRotateBatch(g0, accs.data(), rot1.data(), accs.size(),
+                                sc);
+            ctx.cmuxRotateBatch(g1, accs.data(), rot2.data(), accs.size(),
+                                sc);
+            BackendRegistry::instance().select("serial");
+            EXPECT_EQ(flatten(accs), ref) << p.name << " " << engine;
+        }
     }
 }
 

@@ -1,11 +1,14 @@
 /**
  * @file
- * TFHE tests: LWE/GLWE/GGSW encryption, gadget decomposition,
- * external product, CMux, blind rotation, sample extract, keyswitch
- * (and the lazy keyswitch against its per-term oracle on every
- * engine), full PBS (Algorithm 2), and the boolean gate layer.
+ * TFHE tests: LWE/GLWE/GGSW encryption, gadget decomposition (and
+ * its division-free quotient against a u128-division oracle on every
+ * gadget shape in use), external product, CMux, blind rotation,
+ * sample extract, keyswitch (and the lazy keyswitch against its
+ * per-term oracle on every engine, and its ksk shape check), full PBS
+ * (Algorithm 2), and the boolean gate layer.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
@@ -92,41 +95,125 @@ TEST_F(TfheFixture, TrivialGlweIsNoiseFree)
     EXPECT_EQ(phase.infNorm(), 0u);
 }
 
+/** The rings of every gadget shape in use: each TFHE set and each PIR
+ *  set, whose contexts build the bsk/fold and ksk/Galois gadgets. */
+std::vector<TfheParams>
+gadgetRings()
+{
+    return {TfheParams::setI(),        TfheParams::setII(),
+            TfheParams::setIII(),      TfheParams::testTiny(),
+            pir::PirParams::standard().tfhe,
+            pir::PirParams::testTiny().tfhe};
+}
+
+/**
+ * Decomposition inputs for @p g over q = mod.value(), 768 in all: the
+ * edge values; the smallest x whose rounded value reaches B^levels
+ * (the carry wrap) when one exists below q; x on both sides of 128
+ * quotient boundaries, where v = x * B^levels + floor(q/2) crosses a
+ * multiple of q; then random x. Of the boundaries, 64 are spread over
+ * the whole range, and 64 are the crossings that land v closest above
+ * a multiple (v mod q = 0..63), where a reciprocal estimate of the
+ * quotient falls one short.
+ */
+std::vector<u64>
+gadgetInputs(const Modulus &mod, const Gadget &g, Rng &rng)
+{
+    u64 q = mod.value();
+    u128 b_levels = u128(1) << (g.logBase() * g.levels());
+    std::vector<u64> xs = {0, 1, q / 2, q / 2 + 1, q - 1};
+    u128 wrap = (u128(q) * b_levels - q / 2 + b_levels - 1) / b_levels;
+    if (wrap < q) {
+        xs.push_back(static_cast<u64>(wrap));
+    }
+    auto bothSides = [&](u64 x) {
+        xs.push_back(x);
+        if (x >= 1) {
+            xs.push_back(x - 1);
+        }
+    };
+    // Multiples k * q for k in [1, top] lie within reach of x < q; the
+    // smallest x with v >= k * q is below q for each.
+    u128 top = (u128(q - 1) * b_levels + q / 2) / q;
+    for (u64 i = 0; i < 64; ++i) {
+        u128 k = 1 + (top - 1) * i / 63;
+        bothSides(
+            static_cast<u64>((k * q - q / 2 + b_levels - 1) / b_levels));
+    }
+    // v = r mod q at x = (r - floor(q/2)) / B^levels mod q.
+    u64 inv_scale = mod.inv(static_cast<u64>(b_levels % q));
+    for (u64 r = 0; r < 64; ++r) {
+        bothSides(mod.mul(mod.sub(r, q / 2), inv_scale));
+    }
+    while (xs.size() < 768) {
+        xs.push_back(rng.uniform(q));
+    }
+    return xs;
+}
+
+/** decomposePoly over @p xs in 256-coefficient chunks (the tiny
+ *  rings' NTT tables stop at 256): out[l][i] is limb l of xs[i]. */
+std::vector<std::vector<u64>>
+decomposeInChunks(const Gadget &g, u64 q, const std::vector<u64> &xs)
+{
+    const size_t chunk = 256;
+    std::vector<std::vector<u64>> out(g.levels());
+    std::vector<Poly> limbs(g.levels(), Poly(chunk, q));
+    for (size_t c = 0; c < xs.size(); c += chunk) {
+        size_t len = std::min(chunk, xs.size() - c);
+        g.decomposePoly(xs.data() + c, len, limbs.data());
+        for (u32 l = 0; l < g.levels(); ++l) {
+            out[l].insert(out[l].end(), limbs[l].coeffs().begin(),
+                          limbs[l].coeffs().begin() + len);
+        }
+    }
+    return out;
+}
+
+/** The decomposition's reference body: the quotient by exact u128
+ *  division, then balanced digits with the carry wrap. */
+void
+u128Decompose(u64 q, u32 log_b, u32 levels, u64 x, i64 *digits)
+{
+    u64 b = 1ULL << log_b;
+    u64 half_b = b >> 1;
+    u128 scale = u128(1) << (log_b * levels);
+    u128 y = (u128(x) * scale + q / 2) / q;
+    u64 carry = 0;
+    for (u32 l = levels; l-- > 0;) {
+        u64 r = static_cast<u64>(y & (b - 1)) + carry;
+        y >>= log_b;
+        if (r >= half_b) {
+            digits[l] = static_cast<i64>(r) - static_cast<i64>(b);
+            carry = 1;
+        } else {
+            digits[l] = static_cast<i64>(r);
+            carry = 0;
+        }
+    }
+}
+
 /** Every gadget shape in use: the bsk and ksk gadgets of each TFHE
  *  set, and the fold and Galois-keyswitch gadgets of each PIR set. */
 TEST(Gadget, EveryShapeInUseReconstructsWithinBound)
 {
     Rng rng(72);
-    for (const TfheParams &p :
-         {TfheParams::setI(), TfheParams::setII(), TfheParams::setIII(),
-          TfheParams::testTiny(), pir::PirParams::standard().tfhe,
-          pir::PirParams::testTiny().tfhe}) {
+    for (const TfheParams &p : gadgetRings()) {
         TfheContext ctx(p, 1);
         const Modulus &m = ctx.modulus();
         for (const Gadget *g : {&ctx.gadget(), &ctx.ksGadget()}) {
             u32 levels = g->levels();
             u64 base = 1ULL << g->logBase();
             u128 b_levels = u128(1) << (g->logBase() * levels);
-            // Edge values, then the smallest x whose rounded value
-            // reaches B^levels (the carry wrap) when one exists below
-            // q, then random x; 256 in all for decomposePoly below.
-            std::vector<u64> xs = {0, 1, p.q / 2, p.q / 2 + 1, p.q - 1};
-            u128 wrap = (u128(p.q) * b_levels - p.q / 2 + b_levels - 1) /
-                        b_levels;
-            if (wrap < p.q) {
-                xs.push_back(static_cast<u64>(wrap));
-            }
-            while (xs.size() < 256) {
-                xs.push_back(rng.uniform(p.q));
-            }
+            std::vector<u64> xs = gadgetInputs(ctx.modulus(), *g, rng);
             // Rounding x to a multiple of q/B^levels costs at most
             // q/(2 B^levels); rounding each g_l costs 1/2 per unit of
             // |d_l| <= B/2.
             double bound = static_cast<double>(p.q) /
                                (2.0 * static_cast<double>(b_levels)) +
                            levels * static_cast<double>(base) / 4 + 1;
-            std::vector<Poly> limbs(levels, Poly(xs.size(), p.q));
-            g->decomposePoly(xs.data(), xs.size(), limbs.data());
+            std::vector<std::vector<u64>> limbs =
+                decomposeInChunks(*g, p.q, xs);
             std::vector<i64> digits(levels);
             for (size_t i = 0; i < xs.size(); ++i) {
                 g->decompose(xs[i], digits.data());
@@ -145,6 +232,61 @@ TEST(Gadget, EveryShapeInUseReconstructsWithinBound)
             }
         }
     }
+}
+
+/**
+ * decompose() and decomposePoly() against the u128-division oracle,
+ * digit for digit, on every gadget shape in use. Where the quotient is
+ * division-free ((q-1) * B^levels + floor(q/2) < 2^64, every TFHE
+ * shape), the inputs must include some whose reciprocal estimate
+ * floor(v * floor(2^64/q) / 2^64) falls one short, so the fix-up step
+ * is exercised, not only present.
+ */
+TEST(Gadget, EveryShapeInUseMatchesU128DivisionOracle)
+{
+    Rng rng(74);
+    size_t narrow_shapes = 0;
+    for (const TfheParams &p : gadgetRings()) {
+        TfheContext ctx(p, 1);
+        for (const Gadget *g : {&ctx.gadget(), &ctx.ksGadget()}) {
+            u32 levels = g->levels();
+            u32 shift = g->logBase() * levels;
+            bool narrow = (u128(p.q - 1) << shift) + p.q / 2 <
+                          (u128(1) << 64);
+            u64 recip = static_cast<u64>((u128(1) << 64) / p.q);
+            std::vector<u64> xs = gadgetInputs(ctx.modulus(), *g, rng);
+            std::vector<std::vector<u64>> limbs =
+                decomposeInChunks(*g, p.q, xs);
+            std::vector<i64> got(levels), want(levels);
+            size_t fixups = 0;
+            for (size_t i = 0; i < xs.size(); ++i) {
+                u128Decompose(p.q, g->logBase(), levels, xs[i],
+                              want.data());
+                g->decompose(xs[i], got.data());
+                EXPECT_EQ(got, want)
+                    << p.name << " logB=" << g->logBase()
+                    << " levels=" << levels << " x=" << xs[i];
+                for (u32 l = 0; l < levels; ++l) {
+                    EXPECT_EQ(limbs[l][i], toResidue(want[l], p.q))
+                        << p.name << " limb " << l << " x=" << xs[i];
+                }
+                if (narrow) {
+                    u64 v = (xs[i] << shift) + p.q / 2;
+                    u64 y0 = static_cast<u64>((u128(v) * recip) >> 64);
+                    fixups += y0 != v / p.q;
+                }
+            }
+            if (narrow) {
+                ++narrow_shapes;
+                EXPECT_GT(fixups, 0u)
+                    << p.name << " logB=" << g->logBase()
+                    << " levels=" << levels;
+            }
+        }
+    }
+    // Both gadgets of the four TFHE sets; PIR's q ~ 2^60 shapes keep
+    // the division.
+    EXPECT_EQ(narrow_shapes, 8u);
 }
 
 /** gadgetMac against a per-term mulAdd chain at the largest operands
@@ -551,6 +693,48 @@ TEST(TfheBootstrapperDeathTest, RefusesRingPastTheKeySwitchBound)
             (void)boot;
         },
         "LWE keyswitch bound");
+}
+
+/** keySwitch and keySwitchBatch check a direct caller's ksk once per
+ *  call, before any row is read: a ciphertext with a short mask and
+ *  a later row with fewer than lk levels each stop at the shape check
+ *  instead of reading past the end of a vector. */
+TEST(TfheBootstrapperDeathTest, KeySwitchRefusesMalformedKsk)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const TfheParams p = TfheParams::testTiny();
+    auto ctx = std::make_shared<TfheContext>(p, 97);
+    TfheBootstrapper boot(ctx);
+    u32 lk = ctx->ksGadget().levels();
+    Rng rng(98);
+    TfheKeySwitchKey ksk;
+    ksk.rows.assign(p.k * p.bigN, std::vector<LweCiphertext>(lk));
+    for (auto &levels : ksk.rows) {
+        for (LweCiphertext &ct : levels) {
+            ct.a = rng.uniformVec(p.nLwe, p.q);
+            ct.b = rng.uniform(p.q);
+        }
+    }
+    LweCiphertext wide;
+    wide.a = rng.uniformVec(p.k * p.bigN, p.q);
+    wide.b = rng.uniform(p.q);
+    EXPECT_EQ(boot.keySwitch(wide, ksk).a.size(), p.nLwe);
+
+    TfheKeySwitchKey shortMask = ksk;
+    shortMask.rows[7][2].a.pop_back();
+    TfheKeySwitchKey shortRow = ksk;
+    size_t last = p.k * p.bigN - 1;
+    shortRow.rows[last].pop_back();
+    const std::string shortMaskMsg =
+        "row 7 level 2 holds " + std::to_string(p.nLwe - 1) +
+        " mask coefficients";
+    const std::string shortRowMsg = "row " + std::to_string(last) +
+                                    " holds " + std::to_string(lk - 1) +
+                                    " levels";
+    EXPECT_DEATH(boot.keySwitch(wide, shortMask), shortMaskMsg);
+    EXPECT_DEATH(boot.keySwitchBatch(&wide, 1, shortMask), shortMaskMsg);
+    EXPECT_DEATH(boot.keySwitch(wide, shortRow), shortRowMsg);
+    EXPECT_DEATH(boot.keySwitchBatch(&wide, 1, shortRow), shortRowMsg);
 }
 
 struct GateFixture : public ::testing::Test
